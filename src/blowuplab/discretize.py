@@ -75,17 +75,6 @@ class Discretization:
         dq = w ** ((self.p - 4.0) / 2.0) * ((self.p - 1.0) * du * du + eps * eps)
         return q, dq
 
-    def p_laplacian(self, u: np.ndarray, eps: float | None = None) -> np.ndarray:
-        """Discrete p-Laplacian at every node (boundary rows are one-sided)."""
-        eps = self.eps_reg if eps is None else eps
-        q, _ = self._flux(u, eps)
-        flux = self.m_face * q
-        out = np.empty_like(u)
-        out[1:-1] = (flux[1:] - flux[:-1]) / self.volumes[1:-1]
-        out[0] = flux[0] / self.volumes[0]          # zero flux at the left edge
-        out[-1] = -flux[-1] / self.volumes[-1]      # zero flux at the right edge
-        return out
-
     def residual(self, u, *, weight, f, fp, source=None, mass_coef=0.0, u_prev=None,
                  dirichlet_val=None, eps: float | None = None):
         """Residual of  mass*(u-u_prev) - div flux + weight*f(u) - source  and its scale.

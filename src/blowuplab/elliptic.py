@@ -86,9 +86,6 @@ class GridFunction:
     blowup: bool = False
     meta: dict = field(default_factory=dict)
 
-    def interior_values(self) -> np.ndarray:
-        return self.values[self.mesh.interior_idx]
-
 
 def solve_elliptic_capped(prob: EllipticProblem, cap: float, u0=None) -> GridFunction:
     """Damped-Newton solve of the capped problem; positive, bounded by the cap."""

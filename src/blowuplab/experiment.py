@@ -322,8 +322,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         times = build_time_grid(cfg.t_star, cfg.n_steps, cfg.time_grading)
         try:
             minimal = minimal_solution(prob, times, cap_base=cfg.cap_base,
-                                       cap_factor=cfg.cap_factor, rtol=cfg.cap_rtol,
-                                       max_rungs=cfg.max_cap_rungs)
+                                       cap_factor=cfg.cap_factor, max_rungs=cfg.max_cap_rungs)
         except SolverError as exc:
             fail(f"minimal solution failed: {exc}")
         wants_maximal = any(c in cfg.checks for c in ("sandwich", "uniqueness"))

@@ -148,12 +148,3 @@ def log_slope_limit(fn, start: float, *, toward: str, rungs: int = 18, step: flo
         raise NumericsError(f"function not finite/positive on ladder (first bad abscissa {bad[0]:g})")
     slopes = np.diff(np.log(vals)) / np.diff(np.log(xs))
     return aitken_limit(slopes)
-
-
-def ratio_limit(numer, denom, abscissae) -> LadderLimit:
-    """Extrapolated limit of numer(x)/denom(x) along a ladder of abscissae."""
-    xs = np.asarray(abscissae, dtype=float)
-    ratios = np.array([float(numer(x)) / float(denom(x)) for x in xs])
-    if not np.all(np.isfinite(ratios)):
-        raise NumericsError("non-finite ratio on ladder")
-    return aitken_limit(ratios)

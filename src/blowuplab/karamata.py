@@ -296,13 +296,6 @@ class DecayEvidence:
     exponent: float
     decreasing: bool
 
-    @property
-    def decade_factor(self) -> float:
-        """Empirical decrease factor of the ratio per decade of s."""
-        logs = np.log10(self.s_values)
-        slope = np.polyfit(logs, np.log10(self.ratios), 1)[0]
-        return 10.0 ** slope
-
 
 def profile_decay_ratio(
     kernel: WeightKernel,

@@ -167,7 +167,7 @@ def boundary_rate(
     rel = abs(lim.value - predicted) / abs(predicted)
     converged = _credible(lim, rtol)
     return RateReport(
-        name=f"boundary-rate[{side}{'' if t_used is None else f', t={t_used:g}'}]",
+        name=f"boundary-rate[{side}{'' if t_used is None else f' t={t_used:g}'}]",
         predicted=predicted,
         abscissae=d_ladder,
         ratios=ratios,

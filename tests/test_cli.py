@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import textwrap
 from pathlib import Path
@@ -127,6 +128,20 @@ def test_run_pipeline_and_artifacts(minimal_cfg, tmp_path, capsys):
     assert len(rates) >= 3  # header + steady + one time slice
     summary = (out / "summary.txt").read_text()
     assert "ok" in summary and "FAIL" not in summary
+
+
+def test_rates_csv_rows_match_header(minimal_cfg, tmp_path):
+    out = tmp_path / "results"
+    assert main(["--out", str(out), "run", str(minimal_cfg)]) == 0
+    with open(out / "rates.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+        header = reader.fieldnames
+    assert len(header) == 8
+    assert any(r["name"].startswith("boundary-rate[") for r in rows)
+    for row in rows:
+        assert None not in row, row  # surplus fields land under the key None
+        assert all(row[c] is not None for c in header), row
 
 
 def test_run_is_deterministic(minimal_cfg, tmp_path):

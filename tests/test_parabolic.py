@@ -298,3 +298,62 @@ def test_linear_kernel_weight_minimal_runs():
     times = build_time_grid(0.2, 60, 2.0)
     mn = minimal_solution(prob, times)
     assert np.all(mn.values[1:][:, mesh.interior_idx] > 0.0)
+
+
+def _first_cap_past(ceiling, base, factor):
+    cap = base * factor
+    while cap < ceiling:
+        cap *= factor
+    return cap
+
+
+def test_minimal_solution_is_the_capped_solution_at_its_final_cap():
+    mesh = build_graded_mesh(interval(0.0, 1.0), 80, 2.0)
+    prob = unit_problem(mesh)
+    times = build_time_grid(0.2, 40, 2.0)
+    mn = minimal_solution(prob, times)
+    capped = solve_capped(prob, times, mn.meta["final_cap"])
+    assert np.array_equal(mn.values, capped.values)
+    assert mn.meta["cap_rungs"] == 2
+    # the evidence march one rung below differs in the core by the sqrt(cap)
+    # excess mode, 1 - 1/sqrt(2)
+    assert mn.meta["interior_delta"] == pytest.approx(1.0 - 1.0 / np.sqrt(2.0), abs=0.01)
+
+
+@pytest.mark.parametrize("cap_base, cap_factor", [(10.0, 2.0), (7.0, 3.0), (1e30, 2.0)])
+def test_final_cap_is_first_ladder_cap_past_ceiling(cap_base, cap_factor):
+    mesh = build_graded_mesh(interval(0.0, 1.0), 60, 2.0)
+    prob = unit_problem(mesh)
+    times = build_time_grid(0.2, 30, 2.0)
+    mn = minimal_solution(prob, times, cap_base=cap_base, cap_factor=cap_factor)
+    ceiling = mn.meta["cap_ceiling"]
+    assert mn.meta["final_cap"] == _first_cap_past(ceiling, cap_base, cap_factor)
+    assert mn.meta["final_cap"] >= max(ceiling, cap_base * cap_factor)
+
+
+def test_cap_ladder_too_short_for_ceiling_raises():
+    mesh = build_graded_mesh(interval(0.0, 1.0), 60, 2.0)
+    prob = unit_problem(mesh)
+    times = build_time_grid(0.2, 30, 2.0)
+    with pytest.raises(SolverError) as err:
+        minimal_solution(prob, times, max_rungs=3)
+    diag = err.value.diagnostics
+    assert diag["rungs"] == 3
+    assert diag["last_cap"] == 40.0
+    assert diag["ceiling"] > 40.0
+    with pytest.raises(SolverError):
+        maximal_solution(prob, times, [0.08, 0.04], max_rungs=3)
+
+
+def test_minimal_solution_on_fine_mesh_with_coarse_steps():
+    # 2000 graded cells against 40 steps: at small caps Newton spins to its
+    # iteration limit on this grid, so no small cap may be marched
+    mesh = build_graded_mesh(interval(0.0, 1.0), 2000, 2.0)
+    prob = unit_problem(mesh)
+    times = build_time_grid(0.25, 40, 2.0)
+    mn = minimal_solution(prob, times)
+    u = mn.values
+    assert np.all(u[1:] - u[:-1] <= 1e-12 * np.abs(u[:-1]))
+    np.testing.assert_allclose(u[:, ::-1], u, rtol=1e-8)
+    # above the space-free curve 1/t everywhere after t = 0
+    assert np.min(u[1:] * times[1:, None]) >= 1.0
