@@ -6,33 +6,38 @@ through the first integral
 
     G(w) = integral_w^inf ds / g(s),
 
-which satisfies G(w(t)) = t exactly, so w(t) = G^{-1}(t) up to quadrature and
-root-finding tolerances.  The tail integral demands g to grow faster than
-linearly; the growth index is either declared or measured on the fly.
+which satisfies G(w(t)) = t exactly, so w(t) = G^{-1}(t).  For a pure power
+g = c w**rho (a Nonlinearity with a pure-power primitive) G inverts exactly,
+w(t) = ((rho-1) c t)**(-1/(rho-1)); for every other g the inverse is found
+up to quadrature and root-finding tolerances.  The tail integral demands g
+to grow faster than linearly; the growth index is either declared or
+measured on the fly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError, DomainError, NumericsError
 from .extrapolation import LadderLimit, aitken_limit
 from .nonlinearity import Nonlinearity, rv_index_estimate
-from .quadutil import upper_tail_integral
+from .quadutil import invert_decreasing, upper_tail_integral
 
 
 class BlowdownCurve:
     """Decreasing curve w(t) with w' = -g(w) and w(0+) = infinity."""
 
     def __init__(self, g, index: float | None = None, name: str = "blowdown"):
+        self._power = None  # (rho, c) when g = c * w**rho exactly
         if isinstance(g, Nonlinearity):
             self.g = g.func
             index = g.index if index is None else index
             name = g.name
+            if g.primitive_power is not None:
+                coef, expo = g.primitive_power
+                self._power = (expo - 1.0, coef * expo)
         else:
             self.g = g
         if index is None:
@@ -51,44 +56,20 @@ class BlowdownCurve:
         return upper_tail_integral(lambda s: 1.0 / float(self.g(s)), w, self.index)
 
     def value(self, t):
-        """w(t) = G^{-1}(t) by geometric bracketing and Brent root-finding."""
+        """w(t): closed form for a pure power, else G^{-1}(t) by bracketing and Brent."""
         arr = np.asarray(t, dtype=float)
         if np.any(arr <= 0.0):
             raise DomainError("blow-down time must be positive")
-        out = np.vectorize(self._invert)(arr)
+        if self._power is not None:
+            rho, c = self._power
+            with np.errstate(over="ignore"):
+                out = ((rho - 1.0) * c * arr) ** (-1.0 / (rho - 1.0))
+            if not np.all(np.isfinite(out)):
+                raise NumericsError(f"blow-down value of {self.name} overflows at t = {arr.min():g}")
+        else:
+            out = np.vectorize(lambda tv: invert_decreasing(self.first_integral, tv),
+                               otypes=[float])(arr)
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
-
-    def _invert(self, t: float) -> float:
-        lo = hi = 1.0
-        for _ in range(300):
-            if self.first_integral(hi) <= t:
-                break
-            hi *= 8.0
-        else:
-            raise NumericsError(f"failed to bracket blow-down value at t = {t:g}")
-        for _ in range(300):
-            if self.first_integral(lo) >= t:
-                break
-            lo /= 8.0
-        else:
-            raise DomainError(
-                f"t = {t:g} exceeds the reachable range of the curve (w would leave (0, inf))"
-            )
-        if lo == hi:
-            return lo
-        # a bracket end can land exactly on the root (nice rational times)
-        if abs(self.first_integral(lo) - t) <= 1e-13 * t:
-            return lo
-        if abs(self.first_integral(hi) - t) <= 1e-13 * t:
-            return hi
-        return math.exp(
-            brentq(
-                lambda L: self.first_integral(math.exp(L)) - t,
-                math.log(lo),
-                math.log(hi),
-                rtol=1e-14,
-            )
-        )
 
     def ode_residual(self, t: float, rel_step: float = 1e-4) -> float:
         """Relative defect of w' = -g(w) measured by central differences."""
@@ -134,7 +115,7 @@ def equivalence_check(g, h, t_ladder, g_index: float | None = None, h_index: flo
         raise DomainError("t_ladder must be positive and strictly decreasing")
     cg = BlowdownCurve(g, index=g_index, name="numerator")
     ch = BlowdownCurve(h, index=h_index, name="denominator")
-    ratios = np.array([cg.value(t) / ch.value(t) for t in times])
+    ratios = cg.value(times) / ch.value(times)
     return RatioEvidence(times=times, ratios=ratios, limit=aitken_limit(ratios))
 
 
@@ -155,7 +136,7 @@ def two_scale_equivalence(g, h, c: float, t_ladder, g_index: float | None = None
     times = np.asarray(t_ladder, dtype=float)
     if np.any(np.diff(times) >= 0.0) or np.any(times <= 0.0):
         raise DomainError("t_ladder must be positive and strictly decreasing")
-    ratios = np.array([plain.value(t) / scaled.value(t) for t in times])
+    ratios = plain.value(times) / scaled.value(times)
     ev = RatioEvidence(times=times, ratios=ratios, limit=aitken_limit(ratios))
     if not (np.isfinite(ev.sup) and ev.inf > 0.0):
         raise NumericsError("two-scale ratio left (0, inf)")

@@ -26,13 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .blowdown import BlowdownCurve
 from .elliptic import EllipticProblem, solve_elliptic_blowup
 from .errors import ConfigError, DomainError, NumericsError, SolverError
 from .geometry import ball, build_graded_mesh, interval
 from .karamata import (
     constant_weight,
-    effective_absorption,
+    effective_absorption,  # noqa: F401  (unused here; bench/tracing.py wraps this name)
     index_gate_bound,
     make_kernel,
 )
@@ -49,6 +48,7 @@ from .rates import (
     initial_rate,
     profile_of_distance,
     sandwich_check,
+    space_free_curves,
     uniqueness_gap,
 )
 
@@ -417,27 +417,22 @@ def _write_trajectory_csv(path: Path, prob: ParabolicProblem, fld) -> None:
     inner = d > 0.0
     prof = np.full(mesh.nodes.size, np.nan)
     prof[inner] = profile_of_distance(prob.nl, prob.p, prob.weight.kernel, d[inner])
-    plain = BlowdownCurve(prob.nl)
-    kern = prob.weight.kernel
-    if kern.monotonicity == "constant":
-        eff = plain
-    else:
-        eff = BlowdownCurve(lambda s: float(effective_absorption(prob.nl, kern, prob.p, s)),
-                            index=None if kern.monotonicity == "non-decreasing" else prob.nl.index,
-                            name="effective")
+    plain, eff = space_free_curves(prob)
     x0 = 0.5 * (mesh.domain.a + mesh.domain.b) if mesh.domain.kind == "interval" else 0.0
     i0 = int(np.argmin(np.abs(mesh.nodes - x0)))
     b0 = float(prob.weight.values(mesh.nodes[i0:i0 + 1], d[i0:i0 + 1], 0.0, prob.p)[0])
+    rows = np.nonzero(fld.times > 0.0)[0]
+    t = fld.times[rows]
+    xi = plain.value(t)
+    xis = xi if eff is plain else eff.value(t)
+    # the frozen-coefficient curve of b0 * f at t is the curve of f at b0 * t
+    tau = plain.value(b0 * t)
     with open(path, "w") as fh:
         fh.write("t,x,d,value,curve_plain,curve_effective,curve_frozen,profile\n")
-        for j, t in enumerate(fld.times):
-            if t <= 0.0:
-                continue
-            xi, xis = plain.value(t), eff.value(t)
-            tau = plain.value(b0 * t)
+        for k, j in enumerate(rows):
             for i, x in enumerate(mesh.nodes):
-                fh.write(",".join(_fmt(v) for v in
-                                  (t, x, d[i], fld.values[j, i], xi, xis, tau, prof[i])) + "\n")
+                row = (t[k], x, d[i], fld.values[j, i], xi[k], xis[k], tau[k], prof[i])
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _write_rates_csv(path: Path, reports: list[RateReport]) -> None:

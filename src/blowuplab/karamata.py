@@ -20,7 +20,6 @@ q = rho - (rho - p + 1)(1 - ell).
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,7 +31,7 @@ from scipy.optimize import brentq
 from .errors import ConfigError, DomainError, NumericsError
 from .extrapolation import LadderLimit, aitken_limit, geometric_ladder
 from .nonlinearity import Nonlinearity, blowup_order, primitive
-from .quadutil import upper_tail_integral
+from .quadutil import invert_decreasing, upper_tail_integral
 
 
 @dataclass(frozen=True)
@@ -202,34 +201,9 @@ class BlowupProfile:
         if self._amp is not None:
             out = (self._amp / arr) ** (1.0 / self._expo)
         else:
-            out = np.vectorize(self._invert_scalar)(arr)
+            out = np.vectorize(lambda tv: invert_decreasing(self.tail_time, tv),
+                               otypes=[float])(arr)
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
-
-    def _invert_scalar(self, t: float) -> float:
-        lo, hi = 1.0, 1.0
-        # expand the bracket: T decreasing, so T(lo) >= t >= T(hi)
-        for _ in range(200):
-            if self.tail_time(lo) >= t:
-                break
-            lo /= 16.0
-        else:
-            raise NumericsError(f"could not bracket profile value for t = {t:g}")
-        for _ in range(200):
-            if self.tail_time(hi) <= t:
-                break
-            hi *= 16.0
-        else:
-            raise NumericsError(f"could not bracket profile value for t = {t:g}")
-        if lo == hi:
-            return lo
-        # a bracket end can land exactly on the root (nice rational times)
-        if abs(self.tail_time(lo) - t) <= 1e-13 * t:
-            return lo
-        if abs(self.tail_time(hi) - t) <= 1e-13 * t:
-            return hi
-        return math.exp(
-            brentq(lambda L: self.tail_time(math.exp(L)) - t, math.log(lo), math.log(hi), rtol=1e-14)
-        )
 
     def ode_residual(self, t: float, rel_step: float = 1e-4) -> float:
         """Relative defect of -phi' = (p' F(phi))**(1/p), by central differences."""

@@ -1,9 +1,13 @@
-"""Quadrature helpers for tail integrals of power-law-decaying integrands."""
+"""Quadrature helpers for tail integrals of power-law-decaying integrands,
+and the inversion of the decreasing functions they define."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .errors import DomainError, NumericsError
 
@@ -46,3 +50,34 @@ def integral_on_interval(func, a: float, b: float, *, epsrel: float = 1e-11) -> 
     if not np.isfinite(val):
         raise NumericsError(f"integral over [{a:g}, {b:g}] did not converge")
     return float(val)
+
+
+def invert_decreasing(func, t: float) -> float:
+    """The x > 0 with ``func(x) = t``, for ``func`` strictly decreasing on (0, inf).
+
+    The root is bracketed by stepping from x = 1 by factors of 8 toward it,
+    so the bracket spans one factor, and refined by Brent's method in log x.
+    ``func`` is evaluated once per bracket point.  Raises DomainError when
+    ``t`` exceeds every value of ``func`` reached (t beyond func(0+)).
+    """
+    a = b = 1.0
+    fa = fb = func(1.0)
+    up = fa > t  # the root lies above 1
+    step = 8.0 if up else 0.125
+    for _ in range(300):
+        if (fb <= t) if up else (fb >= t):
+            break
+        a, fa = b, fb
+        b *= step
+        fb = func(b)
+    else:
+        if up:
+            raise NumericsError(f"failed to bracket the inverse at t = {t:g}")
+        raise DomainError(f"t = {t:g} exceeds the range of the function (x would leave (0, inf))")
+    # a bracket end can land exactly on the root (nice rational times)
+    if abs(fa - t) <= 1e-13 * t:
+        return a
+    if abs(fb - t) <= 1e-13 * t:
+        return b
+    lo, hi = sorted((a, b))
+    return math.exp(brentq(lambda L: func(math.exp(L)) - t, math.log(lo), math.log(hi), rtol=1e-14))

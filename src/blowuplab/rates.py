@@ -237,7 +237,6 @@ def initial_rate(
         )
 
     b0 = float(prob.weight.values(np.array([mesh.nodes[i0]]), np.array([d_all[i0]]), 0.0, prob.p)[0])
-    tau = BlowdownCurve(lambda u: b0 * float(prob.nl.func(u)), index=prob.nl.index, name="frozen-coefficient")
 
     t_lo, t_hi = t_window
     picks: list[int] = []
@@ -250,7 +249,8 @@ def initial_rate(
     if len(picks) < 4:
         raise DomainError("time grid too coarse in the requested early-time window")
     t_ladder = fld.times[picks]
-    ratios = np.array([fld.values[j, i0] / tau.value(fld.times[j]) for j in picks])
+    # the curve of b0 * f at t is the curve of f at b0 * t, since G_{b0 f} = G_f / b0
+    ratios = fld.values[picks, i0] / BlowdownCurve(prob.nl).value(b0 * t_ladder)
     lim = aitken_limit(ratios)
 
     dim = dom.dimension if dom.kind == "ball" else 1
@@ -296,14 +296,12 @@ class SandwichReport:
     details: dict = field(default_factory=dict)
 
 
-def _envelope_curves(prob: ParabolicProblem):
-    """Space-free curves for the two envelope branches.
+def space_free_curves(prob: ParabolicProblem):
+    """The plain and effective blow-down curves of a problem, as (plain, effective).
 
-    The branch pairing follows the kernel's monotonicity: a non-increasing
-    kernel bounds the maximal solution with the plain curve and the minimal
-    one with the effective curve; a non-decreasing kernel swaps them.  For a
-    constant kernel the effective absorption equals the absorption and both
-    branches coincide.
+    The plain curve is that of the absorption f; the effective one is that of
+    the effective absorption, which equals f for a constant kernel, so then
+    the plain curve is returned twice.
     """
     nl, p, kernel = prob.nl, prob.p, prob.weight.kernel
     plain = BlowdownCurve(nl)
@@ -314,9 +312,21 @@ def _envelope_curves(prob: ParabolicProblem):
         index=None if kernel.monotonicity == "non-decreasing" else nl.index,
         name="effective",
     )
-    if kernel.monotonicity == "non-increasing":
-        return plain, eff  # (upper branch, lower branch)
-    return eff, plain
+    return plain, eff
+
+
+def _envelope_curves(prob: ParabolicProblem):
+    """Space-free curves for the two envelope branches, as (upper, lower).
+
+    The branch pairing follows the kernel's monotonicity: a non-increasing
+    kernel bounds the maximal solution with the plain curve and the minimal
+    one with the effective curve; a non-decreasing kernel swaps them.  For a
+    constant kernel both branches are the plain curve.
+    """
+    plain, eff = space_free_curves(prob)
+    if prob.weight.kernel.monotonicity == "non-decreasing":
+        return eff, plain
+    return plain, eff
 
 
 def sandwich_check(
@@ -340,8 +350,10 @@ def sandwich_check(
     d = mesh.boundary_distance()[interior]
     prof = profile_of_distance(prob.nl, prob.p, prob.weight.kernel, d)
 
-    up_env = np.array([up_curve.value(t) for t in times])[:, None] + prof[None, :]
-    lo_env = np.array([lo_curve.value(t) for t in times])[:, None] + prof[None, :]
+    up_vals = up_curve.value(times)
+    lo_vals = up_vals if lo_curve is up_curve else lo_curve.value(times)
+    up_env = up_vals[:, None] + prof[None, :]
+    lo_env = lo_vals[:, None] + prof[None, :]
 
     u_up = upper_fld.values[tmask][:, interior]
     u_lo = lower_fld.values[tmask][:, interior]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,8 +13,11 @@ from blowuplab.blowdown import (
     solve_blowdown,
     two_scale_equivalence,
 )
-from blowuplab.errors import ConfigError, DomainError
-from blowuplab.nonlinearity import power
+from blowuplab import blowdown, karamata
+from blowuplab.errors import ConfigError, DomainError, NumericsError
+from blowuplab.karamata import BlowupProfile
+from blowuplab.nonlinearity import power, power_log
+from blowuplab.quadutil import invert_decreasing
 
 ROOT6 = math.sqrt(6.0)
 
@@ -43,6 +47,54 @@ def test_power_family_closed_form(gamma):
     curve = BlowdownCurve(lambda w, gamma=gamma: w ** gamma, index=gamma)
     for t in (1e-3, 0.1, 1.0, 10.0):
         assert curve.value(t) == pytest.approx(closed_power_curve(gamma, t), rel=1e-8)
+
+
+@pytest.mark.parametrize("rho", [1.5, 2.0, 3.0])
+def test_closed_form_matches_quadrature_path(rho):
+    t = np.geomspace(1e-5, 10.0, 25)
+    closed = BlowdownCurve(power(rho)).value(t)
+    quadrature = BlowdownCurve(lambda w, rho=rho: w ** rho, index=rho).value(t)
+    np.testing.assert_allclose(closed, quadrature, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("b0", [0.25, 4.0])
+def test_time_rescaling_equals_scaled_absorption(b0):
+    # G of b0 * f is G of f over b0, so the curve of b0 * f at t is the curve of f at b0 * t
+    nl = power_log(2)
+    t = np.geomspace(1e-4, 1.0, 5)
+    rescaled = BlowdownCurve(nl).value(b0 * t)
+    scaled = BlowdownCurve(lambda u: b0 * float(nl.func(u)), index=2).value(t)
+    np.testing.assert_allclose(rescaled, scaled, rtol=1e-10, atol=0.0)
+
+
+def test_one_inversion_per_point(monkeypatch):
+    calls = []
+
+    def counting(func, t):
+        calls.append(t)
+        return invert_decreasing(func, t)
+
+    monkeypatch.setattr(blowdown, "invert_decreasing", counting)
+    monkeypatch.setattr(karamata, "invert_decreasing", counting)
+    quad_power = dataclasses.replace(power(2), primitive_power=None)
+    t = np.array([0.05, 0.1, 0.5, 1.0, 3.0])
+    for obj in (BlowdownCurve(lambda w: w * w, index=2), BlowupProfile(quad_power, 2.0)):
+        for arg, size in ((0.3, 1), (t, t.size), (t.reshape(5, 1), t.size)):
+            calls.clear()
+            obj.value(arg)
+            assert len(calls) == size
+    calls.clear()
+    BlowdownCurve(power(2)).value(t)  # closed form: nothing to invert
+    assert calls == []
+
+
+def test_invert_decreasing_paths():
+    assert invert_decreasing(lambda x: 1.0 / x, 1.0) == 1.0
+    assert invert_decreasing(lambda x: 1.0 / x, 1.0 / 64.0) == 64.0  # a bracket end
+    assert invert_decreasing(lambda x: x ** -2.0, 0.3) == pytest.approx(0.3 ** -0.5, rel=1e-13)
+    assert invert_decreasing(lambda x: x ** -2.0, 1e5) == pytest.approx(10 ** -2.5, rel=1e-13)
+    with pytest.raises(DomainError):
+        invert_decreasing(lambda x: 1.0 / (1.0 + x), 2.0)  # beyond func(0+) = 1
 
 
 def test_round_trip_first_integral():
@@ -140,6 +192,8 @@ def test_blowdown_error_paths():
     curve = BlowdownCurve(power(2))
     with pytest.raises(DomainError):
         curve.value(-1.0)
+    with pytest.raises(NumericsError):
+        BlowdownCurve(power(1.5)).value(np.array([1e-300, 1.0]))  # w would overflow
     with pytest.raises(DomainError):
         equivalence_check(lambda w: w * w, lambda w: w * w, [1e-4, 1e-3],
                           g_index=2, h_index=2)

@@ -1,13 +1,17 @@
+import csv
+
 import numpy as np
 import pytest
 
 from blowuplab.elliptic import EllipticProblem, GridFunction
 from blowuplab.errors import DomainError
+from blowuplab.experiment import _fmt, _write_trajectory_csv
 from blowuplab.geometry import ball, build_graded_mesh, interval
 from blowuplab.karamata import const_kernel, constant_weight, power_kernel
 from blowuplab.nonlinearity import power, power_log
 from blowuplab.parabolic import ParabolicProblem, SpaceTimeField, build_time_grid
 from blowuplab.rates import (
+    _envelope_curves,
     boundary_rate,
     initial_rate,
     predicted_boundary_constant,
@@ -213,3 +217,33 @@ def test_rate_report_row_schema():
     assert set(row) == {"name", "predicted", "extrapolated", "rel_error",
                         "tolerance", "converged", "passed", "rungs"}
     assert row["passed"] == 1
+
+
+def test_trajectory_curves_come_from_the_envelope_branches(tmp_path):
+    mesh = build_graded_mesh(interval(0.0, 1.0), 16, 2.0)
+    w = constant_weight(power_kernel(1.0), 2.0)
+    prob = ParabolicProblem(mesh=mesh, p=2.0, nl=power(2), weight=w, horizon=0.5)
+    times = np.array([0.0, 0.05, 0.1, 0.2])
+    fld = synthetic_trajectory(mesh, times, lambda t: 1.0 / t)
+    path = tmp_path / "trajectory.csv"
+    _write_trajectory_csv(path, prob, fld)
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    t = times[1:]
+    assert len(rows) == t.size * mesh.nodes.size
+
+    def column(name):
+        # one value per time, repeated over the nodes
+        vals = np.array([r[name] for r in rows]).reshape(t.size, mesh.nodes.size)
+        assert np.all(vals == vals[:, :1])
+        return list(vals[:, 0])
+
+    def fmt(values):
+        return [_fmt(v) for v in values]
+
+    upper, lower = _envelope_curves(prob)  # a non-decreasing kernel: (effective, plain)
+    assert column("curve_effective") == fmt(upper.value(t))
+    assert column("curve_plain") == fmt(lower.value(t))
+    b0 = 2.0 * 0.5 ** 2  # amplitude * k(d)**p at the midpoint
+    assert column("curve_frozen") == fmt(lower.value(b0 * t))
+    assert column("curve_effective") != column("curve_plain")
