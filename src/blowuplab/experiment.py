@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blowdown import BlowdownCurve
 from .elliptic import EllipticProblem, solve_elliptic_blowup
 from .errors import ConfigError, DomainError, NumericsError, SolverError
 from .geometry import ball, build_graded_mesh, interval
@@ -48,7 +49,7 @@ from .rates import (
     initial_rate,
     profile_of_distance,
     sandwich_check,
-    space_free_curves,
+    space_free_values,
     uniqueness_gap,
 )
 
@@ -417,16 +418,14 @@ def _write_trajectory_csv(path: Path, prob: ParabolicProblem, fld) -> None:
     inner = d > 0.0
     prof = np.full(mesh.nodes.size, np.nan)
     prof[inner] = profile_of_distance(prob.nl, prob.p, prob.weight.kernel, d[inner])
-    plain, eff = space_free_curves(prob)
     x0 = 0.5 * (mesh.domain.a + mesh.domain.b) if mesh.domain.kind == "interval" else 0.0
     i0 = int(np.argmin(np.abs(mesh.nodes - x0)))
     b0 = float(prob.weight.values(mesh.nodes[i0:i0 + 1], d[i0:i0 + 1], 0.0, prob.p)[0])
     rows = np.nonzero(fld.times > 0.0)[0]
     t = fld.times[rows]
-    xi = plain.value(t)
-    xis = xi if eff is plain else eff.value(t)
+    xi, xis = space_free_values(prob, t)
     # the frozen-coefficient curve of b0 * f at t is the curve of f at b0 * t
-    tau = plain.value(b0 * t)
+    tau = BlowdownCurve(prob.nl).value(b0 * t)
     with open(path, "w") as fh:
         fh.write("t,x,d,value,curve_plain,curve_effective,curve_frozen,profile\n")
         for k, j in enumerate(rows):

@@ -9,6 +9,14 @@ The structural conditions are asymptotic or global statements, so they are
 checked on a documented sample grid (default: 64 log-spaced points spanning
 [1e-3, 1e8]) with an explicit tolerance, and the grid travels with the
 report for reproducibility.
+
+The primitive F is exact where a closed form is declared.  Otherwise F is
+read from a table built once per nonlinearity: F at the nodes 2**k,
+k = -30..300, summed panel by panel with a 20-point Gauss-Legendre rule
+(one vectorized call of f), from F(2**-30) by adaptive quadrature.  A value
+between nodes adds one Gauss-Legendre panel to the table entry below it.
+Below the first node, and from the last finite table entry upward (the last
+node, or where F overflows), F falls back to adaptive quadrature from 0.
 """
 
 from __future__ import annotations
@@ -16,19 +24,24 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericsError
 from .extrapolation import aitken_limit
-from .quadutil import integral_on_interval, upper_tail_integral
+from .quadutil import gauss_legendre, integral_on_interval, upper_tail_integral
 
 MONOTONE_TOL = 1e-10
 INDEX_MISMATCH_TOL = 1e-2
 
 DEFAULT_GRID = np.geomspace(1e-3, 1e8, 64)
 DEFAULT_INDEX_LADDER = np.geomspace(1e2, 1e8, 21)
+
+# the table of F spans the nodes 2**k, TABLE_KMIN <= k <= TABLE_KMAX
+TABLE_KMIN, TABLE_KMAX = -30, 300
+TABLE_RULE_POINTS = 20
 
 
 @dataclass(frozen=True)
@@ -91,14 +104,45 @@ def make_nonlinearity(key: str) -> Nonlinearity:
 
 
 def primitive(nl: Nonlinearity, u: float) -> float:
-    """F(u) = integral of f from 0 to u; closed form when available."""
+    """F(u) = integral of f from 0 to u.
+
+    The closed form when one is declared; otherwise the table of F at the
+    nodes 2**k plus one 20-point Gauss-Legendre panel from the node below u,
+    and adaptive quadrature from 0 for u outside the table's finite range
+    (below 2**-30, or at and above its last finite node).
+    """
     if u < 0.0:
         raise DomainError(f"primitive needs u >= 0, got {u:g}")
     if u == 0.0:
         return 0.0
     if nl.primitive_closed is not None:
         return float(nl.primitive_closed(u))
+    table = _primitive_table(nl)
+    k = math.frexp(u)[1] - 1  # 2**k <= u < 2**(k+1)
+    i = k - TABLE_KMIN
+    if 0 <= i < table.size - 1 and np.isfinite(table[i + 1]):
+        x, w = gauss_legendre(TABLE_RULE_POINTS)
+        a = math.ldexp(1.0, k)
+        half = 0.5 * (u - a)
+        # a sum, not np.dot, for the reason given in _primitive_table
+        return float(table[i] + half * (w * nl.func(a + half * (1.0 + x))).sum())
     return integral_on_interval(nl.func, 0.0, u)
+
+
+@lru_cache(maxsize=32)
+def _primitive_table(nl: Nonlinearity) -> np.ndarray:
+    """F at the nodes 2**k, TABLE_KMIN <= k <= TABLE_KMAX; non-finite from where F overflows."""
+    x, w = gauss_legendre(TABLE_RULE_POINTS)
+    lo = np.exp2(np.arange(TABLE_KMIN, TABLE_KMAX, dtype=float))  # left panel ends
+    half = 0.5 * lo  # the panel [2**k, 2**(k+1)] has half-width 2**(k-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_vals = np.asarray(nl.func(lo[:, None] + half[:, None] * (1.0 + x)), dtype=float)
+        # sums rather than BLAS products: a first BLAS call costs the process
+        # more memory than the whole table
+        panels = half * (f_vals * w).sum(axis=1)
+        table = np.cumsum(np.concatenate(([integral_on_interval(nl.func, 0.0, lo[0])], panels)))
+    table.flags.writeable = False  # shared by every caller
+    return table
 
 
 def rv_index_estimate(nl, xi_probe: float = 2.0, u_ladder=None) -> float:
@@ -143,7 +187,7 @@ class ConditionReport:
       quotient_increasing -- s -> s**-(p-1) f(s) is increasing
       scaling_bound      -- f(u) >= eps**-l f(eps*u) for sampled eps in (0, 1)
       tail_integrable    -- Keller-Osserman-type integral of F**(-1/p) is finite
-      convex             -- second differences of f are nonnegative
+      convex             -- divided-difference slopes of f are nondecreasing
     """
 
     superlinear_index: bool
@@ -166,6 +210,17 @@ def _increasing_on(values: np.ndarray, tol: float) -> bool:
     diffs = np.diff(values)
     scale = np.maximum(np.abs(values[:-1]), np.abs(values[1:]))
     return bool(np.all(diffs >= -tol * np.maximum(scale, 1.0)))
+
+
+def is_convex(nl: Nonlinearity, grid=None) -> bool:
+    """Convexity of f on a sample grid (default: the condition grid).
+
+    The slopes (f[i+1] - f[i]) / (x[i+1] - x[i]) of consecutive samples must
+    be nondecreasing, up to a relative tolerance of MONOTONE_TOL.
+    """
+    grid = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
+    f_vals = np.asarray(nl.func(grid), dtype=float)
+    return _increasing_on(np.diff(f_vals) / np.diff(grid), MONOTONE_TOL)
 
 
 def check_conditions(
@@ -204,15 +259,12 @@ def check_conditions(
 
     tail_ok = _tail_integrable(nl, p, measured)
 
-    second = f_vals[2:] - 2.0 * f_vals[1:-1] + f_vals[:-2]
-    convex = bool(np.all(second >= -MONOTONE_TOL * np.maximum(np.abs(f_vals[1:-1]), 1.0)))
-
     return ConditionReport(
         superlinear_index=superlinear,
         quotient_increasing=quotient_increasing,
         scaling_bound=scaling_ok,
         tail_integrable=tail_ok,
-        convex=convex,
+        convex=is_convex(nl, grid),
         measured_index=measured,
         scaling_exponent=l,
         p=p,

@@ -1,9 +1,11 @@
 """Quadrature helpers for tail integrals of power-law-decaying integrands,
-and the inversion of the decreasing functions they define."""
+the Gauss-Legendre rule of tabulated primitives, and the inversion of the
+decreasing functions they define."""
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -50,6 +52,37 @@ def integral_on_interval(func, a: float, b: float, *, epsrel: float = 1e-11) -> 
     if not np.isfinite(val):
         raise NumericsError(f"integral over [{a:g}, {b:g}] did not converge")
     return float(val)
+
+
+@lru_cache(maxsize=8)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (increasing) and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Each node is found by Newton's method on P_n, evaluated through the
+    three-term recurrence, from the Chebyshev-like start cos(pi (k - 1/4) / (n + 1/2)).
+    The rule integrates polynomials of degree <= 2n - 1 exactly.  The rule is
+    computed once per n and shared, so its arrays are read-only.
+    """
+    def legendre(x: float) -> tuple[float, float]:  # P_n(x) and P_n'(x)
+        p_prev, p = 1.0, x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+    nodes, weights = [], []
+    for k in range(n, 0, -1):
+        x = math.cos(math.pi * (k - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p, dp = legendre(x)
+            x -= p / dp
+            if abs(p / dp) <= 1e-15:
+                break
+        dp = legendre(x)[1]
+        nodes.append(x)
+        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
+    x, w = np.array(nodes), np.array(weights)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def invert_decreasing(func, t: float) -> float:

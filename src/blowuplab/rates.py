@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .elliptic import EllipticProblem, GridFunction
 from .errors import DomainError
 from .extrapolation import aitken_limit
 from .karamata import WeightKernel, effective_absorption, kernel_primitive, profile_value
-from .nonlinearity import Nonlinearity, blowup_order
+from .nonlinearity import Nonlinearity, blowup_order, is_convex
 from .parabolic import ParabolicProblem, SpaceTimeField
 
 logger = logging.getLogger(__name__)
@@ -296,14 +297,13 @@ class SandwichReport:
     details: dict = field(default_factory=dict)
 
 
-def space_free_curves(prob: ParabolicProblem):
-    """The plain and effective blow-down curves of a problem, as (plain, effective).
+def _space_free_curves(nl: Nonlinearity, kernel: WeightKernel, p: float):
+    """The plain and effective blow-down curves, as (plain, effective).
 
     The plain curve is that of the absorption f; the effective one is that of
     the effective absorption, which equals f for a constant kernel, so then
     the plain curve is returned twice.
     """
-    nl, p, kernel = prob.nl, prob.p, prob.weight.kernel
     plain = BlowdownCurve(nl)
     if kernel.monotonicity == "constant":
         return plain, plain
@@ -315,18 +315,43 @@ def space_free_curves(prob: ParabolicProblem):
     return plain, eff
 
 
-def _envelope_curves(prob: ParabolicProblem):
-    """Space-free curves for the two envelope branches, as (upper, lower).
+def space_free_values(prob: ParabolicProblem, t):
+    """Values of the plain and effective blow-down curves at times t, as (plain, effective).
+
+    The values are kept for the last few (absorption, kernel, p, times), so
+    the trajectory CSV and the sandwich check of one run build and invert
+    each distinct curve once.  The arrays are shared, hence read-only.
+    """
+    times = np.ascontiguousarray(t, dtype=float)
+    return _space_free_values(prob.nl, prob.weight.kernel, prob.p, times.tobytes())
+
+
+@lru_cache(maxsize=4)
+def _space_free_values(nl: Nonlinearity, kernel: WeightKernel, p: float, times: bytes):
+    plain, eff = _space_free_curves(nl, kernel, p)
+    t = np.frombuffer(times)
+    xi = plain.value(t)
+    xis = xi if eff is plain else eff.value(t)
+    xi.flags.writeable = xis.flags.writeable = False
+    return xi, xis
+
+
+def _by_branch(prob: ParabolicProblem, plain, eff):
+    """A (plain, effective) pair reordered as the (upper, lower) envelope branches.
 
     The branch pairing follows the kernel's monotonicity: a non-increasing
     kernel bounds the maximal solution with the plain curve and the minimal
     one with the effective curve; a non-decreasing kernel swaps them.  For a
     constant kernel both branches are the plain curve.
     """
-    plain, eff = space_free_curves(prob)
     if prob.weight.kernel.monotonicity == "non-decreasing":
         return eff, plain
     return plain, eff
+
+
+def _envelope_curves(prob: ParabolicProblem):
+    """Space-free curves for the two envelope branches, as (upper, lower)."""
+    return _by_branch(prob, *_space_free_curves(prob.nl, prob.weight.kernel, prob.p))
 
 
 def sandwich_check(
@@ -343,15 +368,13 @@ def sandwich_check(
     plus the boundary profile phi(K(d)).
     """
     mesh = lower_fld.mesh
-    up_curve, lo_curve = _envelope_curves(prob)
     tmask = (lower_fld.times > 0.0) & (lower_fld.times <= t_star)
     times = lower_fld.times[tmask]
     interior = mesh.interior_idx
     d = mesh.boundary_distance()[interior]
     prof = profile_of_distance(prob.nl, prob.p, prob.weight.kernel, d)
 
-    up_vals = up_curve.value(times)
-    lo_vals = up_vals if lo_curve is up_curve else lo_curve.value(times)
+    up_vals, lo_vals = _by_branch(prob, *space_free_values(prob, times))
     up_env = up_vals[:, None] + prof[None, :]
     lo_env = lo_vals[:, None] + prof[None, :]
 
@@ -427,8 +450,7 @@ def uniqueness_gap(
     asserted = False
     note = "uniqueness not asserted by the theory for these hypotheses"
     if prob is not None:
-        convex = _is_convex(prob.nl)
-        if prob.p == 2.0 and prob.weight.kernel.monotonicity == "constant" and convex:
+        if prob.p == 2.0 and prob.weight.kernel.monotonicity == "constant" and is_convex(prob.nl):
             asserted = True
             note = "uniqueness hypotheses hold (p = 2, constant kernel, convex absorption)"
     return GapReport(
@@ -437,10 +459,3 @@ def uniqueness_gap(
         note=note,
         details={"core_distance": core_distance, "t_min": t_min, "n_shared": int(both.sum())},
     )
-
-
-def _is_convex(nl: Nonlinearity) -> bool:
-    grid = np.geomspace(1e-3, 1e6, 48)
-    fv = np.asarray(nl.func(grid), dtype=float)
-    second = fv[2:] - 2.0 * fv[1:-1] + fv[:-2]
-    return bool(np.all(second >= -1e-10 * np.maximum(np.abs(fv[1:-1]), 1.0)))

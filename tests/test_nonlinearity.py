@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from blowuplab import nonlinearity
 from blowuplab.errors import ConfigError, DomainError, NumericsError
 from blowuplab.nonlinearity import (
     Nonlinearity,
@@ -16,6 +18,7 @@ from blowuplab.nonlinearity import (
     rv_index_estimate,
     validate_declared_index,
 )
+from blowuplab.quadutil import gauss_legendre, integral_on_interval
 
 
 def test_primitive_closed_forms():
@@ -29,6 +32,62 @@ def test_primitive_quadrature_matches_independent_quad():
     for u in (0.5, 2.0, 37.0):
         oracle, _ = quad(nl.func, 0.0, u)
         assert primitive(nl, u) == pytest.approx(oracle, rel=1e-9)
+
+
+def test_primitive_table_matches_closed_form_of_power_log_2():
+    # F(u) = (u^3+1)/3 log1p(u) - u^3/9 + u^2/6 - u/3; near u = 1e-8 its terms
+    # cancel over 24 digits, so it is evaluated at 90
+    nl = power_log(2)
+    with mpmath.workdps(90):
+        for u in np.geomspace(1e-8, 1e80, 89):
+            m = mpmath.mpf(u)
+            exact = (m ** 3 + 1) / 3 * mpmath.log1p(m) - m ** 3 / 9 + m ** 2 / 6 - m / 3
+            assert primitive(nl, u) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+
+def test_primitive_table_matches_quadrature_for_power_log_3():
+    nl = power_log(3)
+    for u in np.geomspace(1e-8, 1e60, 69):
+        assert primitive(nl, u) == pytest.approx(integral_on_interval(nl.func, 0.0, u),
+                                                 rel=1e-12, abs=0.0)
+
+
+def test_primitive_outside_the_table_is_the_quadrature(monkeypatch):
+    calls = []
+
+    def counting(func, a, b):
+        calls.append(b)
+        return integral_on_interval(func, a, b)
+
+    # below 2**-30; above the last node 2**300; for power_log(4) F overflows
+    # in the table near 2**204, so 1.5 * 2**203 lies beyond its last finite node
+    cases = [(power_log(2), 1e-12), (power_log(2), 2.0 ** 301), (power_log(4), 1.5 * 2.0 ** 203)]
+    for nl, u in cases:
+        primitive(nl, 1.0)  # builds the table
+        monkeypatch.setattr(nonlinearity, "integral_on_interval", counting)
+        assert primitive(nl, u) == integral_on_interval(nl.func, 0.0, u)
+        monkeypatch.undo()
+    assert calls == [u for _, u in cases]
+
+
+def test_primitive_inside_the_table_runs_no_quadrature(monkeypatch):
+    nl = power_log(2)
+    primitive(nl, 1.0)  # builds the table
+    calls = []
+    monkeypatch.setattr(nonlinearity, "integral_on_interval",
+                        lambda *args, **kwargs: calls.append(args) or integral_on_interval(*args))
+    for u in (2.0 ** -30, 1e-6, 0.3, 1.0, 7.5, 1e5, 3e40, 2.0 ** 299 * 1.9):
+        primitive(nl, u)
+    assert calls == []
+
+
+def test_gauss_legendre_rule_is_exact_to_degree_39():
+    x, w = gauss_legendre(20)
+    assert np.all(np.diff(x) > 0.0) and -1.0 < x[0] and x[-1] < 1.0
+    assert w.sum() == pytest.approx(2.0, abs=1e-14)
+    for k in range(40):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert np.dot(w, x ** k) == pytest.approx(exact, abs=1e-14)
 
 
 def test_primitive_rejects_negative():
@@ -78,6 +137,17 @@ def test_conditions_quadratic_all_pass():
     assert rep.convex
     assert rep.measured_index == pytest.approx(2.0, abs=1e-6)
     assert rep.all_core
+
+
+def test_convexity_is_checked_on_slopes():
+    # on a geometric grid the second differences of every power are positive,
+    # so only the divided-difference slopes tell concave from convex
+    log1p = Nonlinearity(name="log1p", index=0.0, func=np.log1p,
+                         deriv=lambda u: 1.0 / (1.0 + np.asarray(u)))
+    for nl in (power(0.5), log1p):
+        assert not check_conditions(nl, 2.0).convex
+    for nl in (power(2), power_log(2), power_log(3)):
+        assert check_conditions(nl, 2.0).convex
 
 
 def test_conditions_sublinear_index_fails():

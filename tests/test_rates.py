@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from blowuplab import blowdown
 from blowuplab.elliptic import EllipticProblem, GridFunction
 from blowuplab.errors import DomainError
 from blowuplab.experiment import _fmt, _write_trajectory_csv
@@ -189,6 +190,9 @@ def test_uniqueness_gap_trivial_and_gating():
     probk = ParabolicProblem(mesh=mesh, p=2.0, nl=power(2),
                              weight=constant_weight(power_kernel(1.0), 1.0), horizon=0.5)
     assert not uniqueness_gap(fld, fld, probk).asserted
+    # nor does a concave absorption
+    probc = ParabolicProblem(mesh=mesh, p=2.0, nl=power(0.5), weight=w, horizon=0.5)
+    assert not uniqueness_gap(fld, fld, probc).asserted
 
 
 def test_sandwich_on_synthetic_fields():
@@ -247,3 +251,19 @@ def test_trajectory_curves_come_from_the_envelope_branches(tmp_path):
     b0 = 2.0 * 0.5 ** 2  # amplitude * k(d)**p at the midpoint
     assert column("curve_frozen") == fmt(lower.value(b0 * t))
     assert column("curve_effective") != column("curve_plain")
+
+
+def test_trajectory_and_sandwich_invert_the_effective_curve_once(tmp_path, monkeypatch):
+    mesh = build_graded_mesh(interval(0.0, 1.0), 16, 2.0)
+    w = constant_weight(power_kernel(1.0), 1.0)
+    prob = ParabolicProblem(mesh=mesh, p=2.0, nl=power(2), weight=w, horizon=0.5)
+    times = np.array([0.0, 0.05, 0.1, 0.2])
+    fld = synthetic_trajectory(mesh, times, lambda t: 1.0 / t)
+    calls = []
+    invert = blowdown.invert_decreasing
+    monkeypatch.setattr(blowdown, "invert_decreasing",
+                        lambda func, t: calls.append(t) or invert(func, t))
+    _write_trajectory_csv(tmp_path / "trajectory.csv", prob, fld)
+    sandwich_check(fld, fld, prob, t_star=0.2)
+    # the plain curve of power(2) is closed-form; the effective one is inverted per time
+    assert sorted(calls) == list(times[1:])
