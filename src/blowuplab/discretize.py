@@ -177,10 +177,12 @@ def _newton_single(disc, u0, *, weight, f, fp, source, mass_coef, u_prev,
     u = np.array(u0, dtype=float)
     dirichlet = dirichlet_val is not None
     merit_hist = []
+    # residual is a pure function of u and the frozen arguments, so the
+    # (R, scale) of an accepted line-search point is carried over, not recomputed
+    R, scale = disc.residual(u, weight=weight, f=f, fp=fp, source=source,
+                             mass_coef=mass_coef, u_prev=u_prev,
+                             dirichlet_val=dirichlet_val, eps=eps)
     for it in range(max_iter):
-        R, scale = disc.residual(u, weight=weight, f=f, fp=fp, source=source,
-                                 mass_coef=mass_coef, u_prev=u_prev,
-                                 dirichlet_val=dirichlet_val, eps=eps)
         # the scaling weights are frozen per iteration: re-scaling inside the
         # line search would hide genuine residual decrease
         wts = 1.0 / (1.0 + scale)
@@ -214,13 +216,13 @@ def _newton_single(disc, u0, *, weight, f, fp, source, mass_coef, u_prev,
             if np.any(u_try < 0.0):
                 info["projections"] += 1
                 u_try = np.maximum(u_try, 0.0)
-            R_try, _ = disc.residual(u_try, weight=weight, f=f, fp=fp,
-                                     source=source, mass_coef=mass_coef,
-                                     u_prev=u_prev, dirichlet_val=dirichlet_val,
-                                     eps=eps)
+            R_try, scale_try = disc.residual(u_try, weight=weight, f=f, fp=fp,
+                                             source=source, mass_coef=mass_coef,
+                                             u_prev=u_prev, dirichlet_val=dirichlet_val,
+                                             eps=eps)
             merit_try = float(np.linalg.norm(R_try * wts))
             if np.isfinite(merit_try) and merit_try < ls_merit * (1.0 - 1e-3 * lam) + 1e-16:
-                u = u_try
+                u, R, scale = u_try, R_try, scale_try
                 accepted = True
                 break
             lam *= 0.5

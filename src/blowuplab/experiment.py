@@ -426,12 +426,17 @@ def _write_trajectory_csv(path: Path, prob: ParabolicProblem, fld) -> None:
     xi, xis = space_free_values(prob, t)
     # the frozen-coefficient curve of b0 * f at t is the curve of f at b0 * t
     tau = BlowdownCurve(prob.nl).value(b0 * t)
+    # t and the curves repeat across nodes, x, d and the profile across steps:
+    # format each once and only the value per row, one chunk per time step
+    heads = [f"{_fmt(x)},{_fmt(dv)}," for x, dv in zip(mesh.nodes, d)]
+    tails = [f",{_fmt(pv)}\n" for pv in prof]
     with open(path, "w") as fh:
         fh.write("t,x,d,value,curve_plain,curve_effective,curve_frozen,profile\n")
         for k, j in enumerate(rows):
-            for i, x in enumerate(mesh.nodes):
-                row = (t[k], x, d[i], fld.values[j, i], xi[k], xis[k], tau[k], prof[i])
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            pre = f"{_fmt(t[k])},"
+            mid = f",{_fmt(xi[k])},{_fmt(xis[k])},{_fmt(tau[k])}"
+            fh.write("".join([pre + head + _fmt(v) + mid + tail
+                              for head, v, tail in zip(heads, fld.values[j], tails)]))
 
 
 def _write_rates_csv(path: Path, reports: list[RateReport]) -> None:

@@ -336,8 +336,8 @@ def cap_ceiling(
     K = np.array([kernel_primitive(kernel, float(v)) for v in d_domain])
     local = amp ** (1.0 / p) * np.asarray(kernel.func(d_domain), dtype=float) * d_mesh
     arg = np.minimum(K, np.maximum(local, 1e-300))
-    prof = _profile(nl, p)
-    top = float(np.max(prof.value(arg)))
+    # phi is decreasing, so its largest nodal value is phi at the smallest argument
+    top = float(_profile(nl, p).value(arg.min()))
     if dt_first is not None:
         from .blowdown import BlowdownCurve
 

@@ -74,10 +74,22 @@ def predicted_boundary_constant(rho: float, p: float, ell: float, beta: float) -
 
 
 def profile_of_distance(nl: Nonlinearity, p: float, kernel: WeightKernel, d) -> np.ndarray:
-    """phi(K(d)) nodewise: the boundary-layer comparison profile."""
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    K = np.array([kernel_primitive(kernel, float(v)) for v in d])
-    return np.asarray(profile_value(nl, p, K))
+    """phi(K(d)) nodewise: the boundary-layer comparison profile.
+
+    The values are kept for the last few (absorption, p, kernel, distances),
+    so the CSV writers and the sandwich check of one run evaluate the profile
+    on a mesh once.  The array is shared, hence read-only.
+    """
+    d = np.ascontiguousarray(d, dtype=float)
+    return _profile_of_distance(nl, p, kernel, d.tobytes())
+
+
+@lru_cache(maxsize=8)
+def _profile_of_distance(nl: Nonlinearity, p: float, kernel: WeightKernel, d: bytes):
+    K = np.array([kernel_primitive(kernel, float(v)) for v in np.frombuffer(d)])
+    prof = np.asarray(profile_value(nl, p, K))
+    prof.flags.writeable = False
+    return prof
 
 
 def _distance_ladder(distances, h_local, d_hi, d_lo, ratio=2.0, rel_width=0.35):

@@ -224,3 +224,19 @@ def test_cap_ceiling_scales_with_margin():
     assert hi == pytest.approx(8.0 * lo)
     # dominated by the finest cell: phi(1e-3) = 6e6
     assert lo == pytest.approx(6e6, rel=1e-6)
+
+
+def test_cap_ceiling_evaluates_one_profile_point(monkeypatch):
+    points = []
+    real = BlowupProfile.value
+    monkeypatch.setattr(BlowupProfile, "value",
+                        lambda self, t: points.append(np.size(t)) or real(self, t))
+    d = np.geomspace(1e-4, 0.5, 8)
+    for nl in (power(2), power_log(2)):
+        points.clear()
+        # a unit mesh distance leaves K(d) = d as the profile argument
+        top = cap_ceiling(nl, 2.0, const_kernel(), 1.0, d, np.ones_like(d), margin=1.0)
+        assert points == [1]
+        # still the largest nodal value of phi, up to the last bit
+        largest = float(np.max(real(BlowupProfile(nl, 2.0), d)))
+        assert top == pytest.approx(largest, rel=1e-15)

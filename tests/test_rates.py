@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from blowuplab import blowdown
+from blowuplab import blowdown, rates
+from blowuplab.blowdown import BlowdownCurve
 from blowuplab.elliptic import EllipticProblem, GridFunction
 from blowuplab.errors import DomainError
 from blowuplab.experiment import _fmt, _write_trajectory_csv
@@ -18,6 +19,7 @@ from blowuplab.rates import (
     predicted_boundary_constant,
     profile_of_distance,
     sandwich_check,
+    space_free_values,
     uniqueness_gap,
 )
 
@@ -46,6 +48,25 @@ def test_profile_of_distance_matches_closed_form():
     # linear kernel: K = d^2/2, phi(K) = 24/d^4
     prof2 = profile_of_distance(power(2), 2.0, power_kernel(1.0), d)
     np.testing.assert_allclose(prof2, 24.0 / d ** 4, rtol=1e-9)
+
+
+def test_profile_of_distance_evaluated_once_per_distance_set(monkeypatch):
+    mesh = build_graded_mesh(interval(0.0, 1.0), 24, 3.0)
+    d = mesh.boundary_distance()[mesh.interior_idx]
+    calls = []
+    real = rates.profile_value
+    monkeypatch.setattr(rates, "profile_value",
+                        lambda nl, p, K: calls.append(np.size(K)) or real(nl, p, K))
+    nl, kern = power(2), const_kernel()
+    rates._profile_of_distance.cache_clear()
+    first = profile_of_distance(nl, 2.0, kern, d)
+    again = profile_of_distance(nl, 2.0, kern, d.copy())
+    assert calls == [d.size]
+    assert again is first and not first.flags.writeable
+    # another distance set or another p is a separate evaluation
+    profile_of_distance(nl, 2.0, kern, d[1:])
+    profile_of_distance(nl, 1.5, kern, d)
+    assert calls == [d.size, d.size - 1, d.size]
 
 
 def synthetic_steady(mesh, constant):
@@ -267,3 +288,42 @@ def test_trajectory_and_sandwich_invert_the_effective_curve_once(tmp_path, monke
     sandwich_check(fld, fld, prob, t_star=0.2)
     # the plain curve of power(2) is closed-form; the effective one is inverted per time
     assert sorted(calls) == list(times[1:])
+
+
+def _reference_trajectory_csv(path, prob, fld):
+    """The trajectory CSV written field by field, one ``_fmt`` per entry."""
+    mesh = fld.mesh
+    d = mesh.boundary_distance()
+    inner = d > 0.0
+    prof = np.full(mesh.nodes.size, np.nan)
+    prof[inner] = profile_of_distance(prob.nl, prob.p, prob.weight.kernel, d[inner])
+    i0 = int(np.argmin(np.abs(mesh.nodes - 0.5 * (mesh.domain.a + mesh.domain.b))))
+    b0 = float(prob.weight.values(mesh.nodes[i0:i0 + 1], d[i0:i0 + 1], 0.0, prob.p)[0])
+    rows = np.nonzero(fld.times > 0.0)[0]
+    t = fld.times[rows]
+    xi, xis = space_free_values(prob, t)
+    tau = BlowdownCurve(prob.nl).value(b0 * t)
+    with open(path, "w") as fh:
+        fh.write("t,x,d,value,curve_plain,curve_effective,curve_frozen,profile\n")
+        for k, j in enumerate(rows):
+            for i, x in enumerate(mesh.nodes):
+                row = (t[k], x, d[i], fld.values[j, i], xi[k], xis[k], tau[k], prof[i])
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def test_trajectory_csv_matches_the_field_by_field_reference(tmp_path):
+    mesh = build_graded_mesh(interval(0.0, 1.0), 16, 2.0)
+    w = constant_weight(power_kernel(1.0), 2.0)
+    prob = ParabolicProblem(mesh=mesh, p=2.0, nl=power(2), weight=w, horizon=0.5)
+    times = np.array([0.0, 0.05, 0.1, 0.2])
+    vals = np.geomspace(1e-300, 1e300, times.size * mesh.nodes.size).reshape(times.size, -1)
+    vals[2, 5] = 0.0
+    vals[1, 3] = -2.5
+    fld = SpaceTimeField(mesh=mesh, times=times, values=vals)
+    _write_trajectory_csv(tmp_path / "new.csv", prob, fld)
+    _reference_trajectory_csv(tmp_path / "ref.csv", prob, fld)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    # the boundary nodes carry a NaN profile; the zero value is written too
+    assert new.count(b",nan\n") == 2 * (times.size - 1)
+    assert b",0.00000000000e+00," in new
