@@ -12,15 +12,23 @@ otherwise); for p = 2 the factor is identically 1 and eps is inert.
 Convergence is declared on the residual scaled per node by the magnitude of
 its own terms, since absolute residuals are meaningless across the many
 orders of magnitude a blow-up layer spans.
+
+Each Newton system is tridiagonal and is held as its three diagonals.  It is
+solved by LAPACK ``gtsv`` called directly, without scipy's validation layer
+(the routine ``scipy.linalg.solve_banded`` dispatches to for one lower and
+one upper band, so iterates are the same to the bit); the solver checks the
+system itself and reports a non-finite one as a ``SolverError``.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import SolverError
 from .geometry import Mesh
@@ -66,14 +74,24 @@ class Discretization:
         return cls(mesh=mesh, p=p, eps_reg=float(eps_reg), h_face=h, m_face=m,
                    volumes=vol, dirichlet_idx=dirichlet_idx)
 
-    def _flux(self, u: np.ndarray, eps: float):
-        du = np.diff(u) / self.h_face
+    @cached_property
+    def _dirichlet_bands(self) -> tuple[np.ndarray, np.ndarray]:
+        # off-diagonal entries of the Dirichlet rows: lower[i-1] and upper[i]
+        idx, n = self.dirichlet_idx, self.mesh.nodes.size
+        return idx[idx > 0] - 1, idx[idx < n - 1]
+
+    def _gradient(self, u: np.ndarray, eps: float):
+        """Face gradients du and, for p != 2, the regularized du**2 + eps**2."""
+        du = (u[1:] - u[:-1]) / self.h_face
         if self.p == 2.0:
-            return du, np.ones_like(du)
-        w = du * du + eps * eps
-        q = w ** ((self.p - 2.0) / 2.0) * du
-        dq = w ** ((self.p - 4.0) / 2.0) * ((self.p - 1.0) * du * du + eps * eps)
-        return q, dq
+            return du, None
+        return du, du * du + eps * eps
+
+    def _flux(self, u: np.ndarray, eps: float) -> np.ndarray:
+        du, w = self._gradient(u, eps)
+        if w is None:
+            return du
+        return w ** ((self.p - 2.0) / 2.0) * du
 
     def residual(self, u, *, weight, f, fp, source=None, mass_coef=0.0, u_prev=None,
                  dirichlet_val=None, eps: float | None = None):
@@ -83,18 +101,18 @@ class Discretization:
         scale bounds the magnitude of the row's individual terms.
         """
         eps = self.eps_reg if eps is None else eps
-        q, _ = self._flux(u, eps)
-        flux = self.m_face * q
-        div = np.zeros_like(u)
-        div[1:-1] = (flux[1:] - flux[:-1]) / self.volumes[1:-1]
-        div[0] = flux[0] / self.volumes[0]
-        div[-1] = -flux[-1] / self.volumes[-1]
+        flux = self.m_face * self._flux(u, eps)
+        vol = self.volumes
+        div = np.empty_like(u)
+        div[1:-1] = (flux[1:] - flux[:-1]) / vol[1:-1]
+        div[0] = flux[0] / vol[0]
+        div[-1] = -flux[-1] / vol[-1]
         absorb = weight * f(u)
         R = -div + absorb
         # scale by pre-cancellation term magnitudes: the flux difference loses
         # digits in the boundary layer and would otherwise set a false floor
         div_mag = np.abs(div)
-        div_mag[1:-1] = (np.abs(flux[1:]) + np.abs(flux[:-1])) / self.volumes[1:-1]
+        div_mag[1:-1] = (np.abs(flux[1:]) + np.abs(flux[:-1])) / vol[1:-1]
         scale = div_mag + np.abs(absorb)
         if mass_coef:
             dmass = mass_coef * (u - u_prev)
@@ -105,37 +123,49 @@ class Discretization:
             scale += np.abs(source)
         if dirichlet_val is not None:
             idx = self.dirichlet_idx
-            dv = dirichlet_val[idx] if np.ndim(dirichlet_val) else dirichlet_val
+            dv = dirichlet_val[idx] if isinstance(dirichlet_val, np.ndarray) else dirichlet_val
             R[idx] = u[idx] - dv
             scale[idx] = np.abs(dv) + np.abs(u[idx])
         return R, scale
 
     def _jacobian_banded(self, u, *, weight, fp, mass_coef=0.0, dirichlet: bool,
                          eps: float | None = None):
+        """The residual's Jacobian as its (lower, diag, upper) diagonals."""
         eps = self.eps_reg if eps is None else eps
-        _, dq = self._flux(u, eps)
-        c = self.m_face * dq / self.h_face  # face conductances
-        n = u.size
-        diag = np.zeros(n)
-        diag[:-1] += c / self.volumes[:-1]
-        diag[1:] += c / self.volumes[1:]
-        lower = np.zeros(n - 1)
-        upper = np.zeros(n - 1)
-        lower[:] = -c / self.volumes[1:]
-        upper[:] = -c / self.volumes[:-1]
+        du, w = self._gradient(u, eps)
+        if w is None:
+            c = self.m_face / self.h_face  # face conductances
+        else:
+            dq = w ** ((self.p - 4.0) / 2.0) * ((self.p - 1.0) * du * du + eps * eps)
+            c = self.m_face * dq / self.h_face
+        c_lo = c / self.volumes[1:]
+        c_up = c / self.volumes[:-1]
+        diag = np.empty(u.size)
+        diag[:-1] = c_up
+        diag[-1] = 0.0
+        diag[1:] += c_lo
         diag += weight * fp(u) + mass_coef
+        lower = -c_lo
+        upper = -c_up
         if dirichlet:
-            for i in self.dirichlet_idx:
-                diag[i] = 1.0
-                if i > 0:
-                    lower[i - 1] = 0.0
-                if i < n - 1:
-                    upper[i] = 0.0
-        ab = np.zeros((3, n))
-        ab[0, 1:] = upper
-        ab[1, :] = diag
-        ab[2, :-1] = lower
-        return ab
+            lo, up = self._dirichlet_bands
+            diag[self.dirichlet_idx] = 1.0
+            lower[lo] = 0.0
+            upper[up] = 0.0
+        return lower, diag, upper
+
+
+def solve_banded(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve the tridiagonal system with the given sub-, main and super-diagonals.
+
+    LAPACK ``gtsv`` (Gaussian elimination with partial pivoting) overwrites
+    all four arrays; the solution is returned in the storage of ``rhs``.
+    The arrays must be finite, contiguous float64.
+    """
+    _, _, _, x, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix (zero pivot in row {info})")
+    return x
 
 
 def newton_solve(disc: Discretization, u0, *, weight, f, fp, source=None,
@@ -186,42 +216,49 @@ def _newton_single(disc, u0, *, weight, f, fp, source, mass_coef, u_prev,
         # the scaling weights are frozen per iteration: re-scaling inside the
         # line search would hide genuine residual decrease
         wts = 1.0 / (1.0 + scale)
-        merit = float(np.max(np.abs(R) * wts))
+        merit = float((np.abs(R) * wts).max())
         merit_hist.append(merit)
         if merit <= rtol:
             info["iterations"] += it
             return u
         # backtracking uses a smooth l2 merit (the Newton direction is always
         # a descent direction for it); convergence stays in the max norm
-        ls_merit = float(np.linalg.norm(R * wts))
-        ab = disc._jacobian_banded(u, weight=weight, fp=fp, mass_coef=mass_coef,
-                                   dirichlet=dirichlet, eps=eps)
+        scaled = R * wts
+        ls_merit = math.sqrt(scaled.dot(scaled))
+        lower, diag, upper = disc._jacobian_banded(u, weight=weight, fp=fp,
+                                                   mass_coef=mass_coef,
+                                                   dirichlet=dirichlet, eps=eps)
         # row equilibration guards the factorization across blow-up magnitudes;
-        # in banded layout row i owns ab[1, i], ab[0, i+1], ab[2, i-1]
-        r = np.abs(ab[1]).copy()
-        r[:-1] = np.maximum(r[:-1], np.abs(ab[0, 1:]))
-        r[1:] = np.maximum(r[1:], np.abs(ab[2, :-1]))
-        r = np.maximum(r, 1e-300)
-        ab[1] /= r
-        ab[0, 1:] /= r[:-1]
-        ab[2, :-1] /= r[1:]
+        # row i owns diag[i], upper[i] and lower[i-1]
+        r = np.abs(diag)
+        np.maximum(r[:-1], np.abs(upper), out=r[:-1])
+        np.maximum(r[1:], np.abs(lower), out=r[1:])
+        np.maximum(r, 1e-300, out=r)
+        diag /= r
+        upper /= r[:-1]
+        lower /= r[1:]
+        rhs = -R / r
+        # an equilibrated row is finite exactly when its r is
+        if not (np.isfinite(r).all() and np.isfinite(rhs).all()):
+            raise SolverError("non-finite Newton system", {"iteration": it, "merit": merit})
         try:
-            delta = solve_banded((1, 1), ab, -R / r)
+            delta = solve_banded(lower, diag, upper, rhs)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"linear solve failed: {exc}", {"iteration": it}) from exc
         lam = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACK):
             u_try = u + lam * delta
-            if np.any(u_try < 0.0):
+            if (u_try < 0.0).any():
                 info["projections"] += 1
                 u_try = np.maximum(u_try, 0.0)
             R_try, scale_try = disc.residual(u_try, weight=weight, f=f, fp=fp,
                                              source=source, mass_coef=mass_coef,
                                              u_prev=u_prev, dirichlet_val=dirichlet_val,
                                              eps=eps)
-            merit_try = float(np.linalg.norm(R_try * wts))
-            if np.isfinite(merit_try) and merit_try < ls_merit * (1.0 - 1e-3 * lam) + 1e-16:
+            scaled = R_try * wts
+            merit_try = math.sqrt(scaled.dot(scaled))
+            if math.isfinite(merit_try) and merit_try < ls_merit * (1.0 - 1e-3 * lam) + 1e-16:
                 u, R, scale = u_try, R_try, scale_try
                 accepted = True
                 break

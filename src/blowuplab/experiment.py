@@ -424,8 +424,9 @@ def _write_trajectory_csv(path: Path, prob: ParabolicProblem, fld) -> None:
     rows = np.nonzero(fld.times > 0.0)[0]
     t = fld.times[rows]
     xi, xis = space_free_values(prob, t)
-    # the frozen-coefficient curve of b0 * f at t is the curve of f at b0 * t
-    tau = BlowdownCurve(prob.nl).value(b0 * t)
+    # the frozen-coefficient curve of b0 * f at t is the curve of f at b0 * t,
+    # which for b0 = 1 is the plain curve
+    tau = xi if b0 == 1.0 else BlowdownCurve(prob.nl).value(b0 * t)
     # t and the curves repeat across nodes, x, d and the profile across steps:
     # format each once and only the value per row, one chunk per time step
     heads = [f"{_fmt(x)},{_fmt(dv)}," for x, dv in zip(mesh.nodes, d)]

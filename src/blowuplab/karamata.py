@@ -364,11 +364,14 @@ class AbsorptionWeight:
     def amplitude(self, x, t: float):
         return np.asarray(self.beta(np.asarray(x, dtype=float), t), dtype=float)
 
+    def kernel_power(self, d, p: float):
+        """The time-free factor k(d)**p at boundary distances d."""
+        d = np.asarray(d, dtype=float)
+        return np.asarray(self.kernel.func(np.maximum(d, 1e-300)), dtype=float) ** p
+
     def values(self, x, d, t: float, p: float):
         """b at coordinates x with boundary distances d, time t."""
-        d = np.asarray(d, dtype=float)
-        kp = np.asarray(self.kernel.func(np.maximum(d, 1e-300)), dtype=float) ** p
-        return self.amplitude(x, t) * kp
+        return self.amplitude(x, t) * self.kernel_power(d, p)
 
 
 def constant_weight(kernel: WeightKernel, amplitude: float = 1.0) -> AbsorptionWeight:

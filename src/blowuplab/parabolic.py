@@ -71,8 +71,16 @@ class ParabolicProblem:
             raise DomainError(f"horizon must be positive, got {self.horizon:g}")
 
     def weight_on(self, nodes: np.ndarray, t: float) -> np.ndarray:
+        return self.weight.amplitude(nodes, t) * self.kernel_power_on(nodes)
+
+    def kernel_power_on(self, nodes: np.ndarray) -> np.ndarray:
+        """k(d)**p at the nodes, d the distance to the boundary of the problem's domain.
+
+        The weight at time t is ``weight.amplitude(nodes, t)`` times this
+        factor, so a march computes it once and reuses it at every step.
+        """
         d = distance_to_boundary(self.mesh.domain, nodes)
-        return self.weight.values(nodes, d, t, self.p)
+        return self.weight.kernel_power(d, self.p)
 
     def source_on(self, nodes: np.ndarray, t: float):
         if self.source is None:
@@ -110,7 +118,8 @@ def step_implicit(prob: ParabolicProblem, state: np.ndarray, dt: float, t_new: f
                   cap: float | None = None) -> np.ndarray:
     """One backward-Euler step on the problem's own mesh (convenience wrapper)."""
     disc = _discretization(prob, prob.mesh)
-    return _step(prob, prob.mesh, disc, state, dt, t_new, cap)
+    kp = prob.kernel_power_on(prob.mesh.nodes)
+    return _step(prob, prob.mesh, disc, kp, state, dt, t_new, cap)
 
 
 def _discretization(prob: ParabolicProblem, mesh: Mesh) -> Discretization:
@@ -131,10 +140,11 @@ def _dirichlet_values(prob: ParabolicProblem, mesh: Mesh, t: float, cap: float |
     return float(cap)
 
 
-def _step(prob, mesh, disc, state, dt, t_new, cap, depth: int = 0) -> np.ndarray:
+def _step(prob, mesh, disc, kp, state, dt, t_new, cap, depth: int = 0) -> np.ndarray:
     """Backward-Euler step with rejection: on Newton failure the step is halved
-    (bounded recursion) so the caller's time grid is preserved."""
-    weight = prob.weight_on(mesh.nodes, t_new)
+    (bounded recursion) so the caller's time grid is preserved.  ``kp`` is the
+    kernel factor ``prob.kernel_power_on(mesh.nodes)`` of the weight."""
+    weight = prob.weight.amplitude(mesh.nodes, t_new) * kp
     src = prob.source_on(mesh.nodes, t_new)
     dval = _dirichlet_values(prob, mesh, t_new, cap)
     try:
@@ -146,13 +156,14 @@ def _step(prob, mesh, disc, state, dt, t_new, cap, depth: int = 0) -> np.ndarray
         if depth >= MAX_STEP_HALVINGS:
             raise
         t_mid = t_new - 0.5 * dt
-        half = _step(prob, mesh, disc, state, 0.5 * dt, t_mid, cap, depth=depth + 1)
-        return _step(prob, mesh, disc, half, 0.5 * dt, t_new, cap, depth=depth + 1)
+        half = _step(prob, mesh, disc, kp, state, 0.5 * dt, t_mid, cap, depth=depth + 1)
+        return _step(prob, mesh, disc, kp, half, 0.5 * dt, t_new, cap, depth=depth + 1)
 
 
 def _march(prob: ParabolicProblem, mesh: Mesh, times: np.ndarray, cap: float | None) -> np.ndarray:
     """Full backward-Euler trajectory with data ``cap`` on the parabolic boundary."""
     disc = _discretization(prob, mesh)
+    kp = prob.kernel_power_on(mesh.nodes)
     n = mesh.nodes.size
     out = np.empty((times.size, n))
     if prob.initial is not None:
@@ -163,7 +174,7 @@ def _march(prob: ParabolicProblem, mesh: Mesh, times: np.ndarray, cap: float | N
         out[0] = cap
     for j in range(1, times.size):
         dt = times[j] - times[j - 1]
-        out[j] = _step(prob, mesh, disc, out[j - 1], dt, times[j], cap)
+        out[j] = _step(prob, mesh, disc, kp, out[j - 1], dt, times[j], cap)
     return out
 
 

@@ -1,7 +1,16 @@
 import numpy as np
+import pytest
+from scipy.linalg import solve_banded
 
-from blowuplab.discretize import NEWTON_RTOL, Discretization, newton_solve
-from blowuplab.geometry import build_graded_mesh, interval
+from blowuplab.discretize import (
+    MAX_BACKTRACK,
+    MAX_NEWTON,
+    NEWTON_RTOL,
+    Discretization,
+    newton_solve,
+)
+from blowuplab.errors import SolverError
+from blowuplab.geometry import ball, build_graded_mesh, interval
 from blowuplab.nonlinearity import power
 
 
@@ -25,3 +34,205 @@ def test_newton_evaluates_one_residual_per_iteration(monkeypatch):
     assert len(calls) == k + 1
     R, scale = real(disc, u, **kw)
     assert np.max(np.abs(R) / (1.0 + scale)) <= NEWTON_RTOL
+
+
+# -- reference kernel: the 3 x n band matrix solved by scipy.linalg.solve_banded --
+
+def _reference_residual(disc, u, *, weight, f, fp=None, source=None, mass_coef=0.0,
+                        u_prev=None, dirichlet_val=None, eps):
+    du = np.diff(u) / disc.h_face
+    if disc.p == 2.0:
+        q = du
+    else:
+        q = (du * du + eps * eps) ** ((disc.p - 2.0) / 2.0) * du
+    flux = disc.m_face * q
+    div = np.zeros_like(u)
+    div[1:-1] = (flux[1:] - flux[:-1]) / disc.volumes[1:-1]
+    div[0] = flux[0] / disc.volumes[0]
+    div[-1] = -flux[-1] / disc.volumes[-1]
+    absorb = weight * f(u)
+    R = -div + absorb
+    div_mag = np.abs(div)
+    div_mag[1:-1] = (np.abs(flux[1:]) + np.abs(flux[:-1])) / disc.volumes[1:-1]
+    scale = div_mag + np.abs(absorb)
+    if mass_coef:
+        R += mass_coef * (u - u_prev)
+        scale += mass_coef * (np.abs(u) + np.abs(u_prev))
+    if source is not None:
+        R -= source
+        scale += np.abs(source)
+    if dirichlet_val is not None:
+        idx = disc.dirichlet_idx
+        dv = dirichlet_val[idx] if np.ndim(dirichlet_val) else dirichlet_val
+        R[idx] = u[idx] - dv
+        scale[idx] = np.abs(dv) + np.abs(u[idx])
+    return R, scale
+
+
+def _reference_band_matrix(disc, u, *, weight, fp, mass_coef, dirichlet, eps):
+    du = np.diff(u) / disc.h_face
+    if disc.p == 2.0:
+        dq = np.ones_like(du)
+    else:
+        w = du * du + eps * eps
+        dq = w ** ((disc.p - 4.0) / 2.0) * ((disc.p - 1.0) * du * du + eps * eps)
+    c = disc.m_face * dq / disc.h_face
+    n = u.size
+    diag = np.zeros(n)
+    diag[:-1] += c / disc.volumes[:-1]
+    diag[1:] += c / disc.volumes[1:]
+    lower = -c / disc.volumes[1:]
+    upper = -c / disc.volumes[:-1]
+    diag += weight * fp(u) + mass_coef
+    if dirichlet:
+        for i in disc.dirichlet_idx:
+            diag[i] = 1.0
+            if i > 0:
+                lower[i - 1] = 0.0
+            if i < n - 1:
+                upper[i] = 0.0
+    ab = np.zeros((3, n))
+    ab[0, 1:] = upper
+    ab[1, :] = diag
+    ab[2, :-1] = lower
+    return ab
+
+
+def _reference_newton_single(disc, u0, *, weight, f, fp, source, mass_coef, u_prev,
+                             dirichlet_val, rtol, eps, info):
+    u = np.array(u0, dtype=float)
+    kw = dict(weight=weight, f=f, source=source, mass_coef=mass_coef, u_prev=u_prev,
+              dirichlet_val=dirichlet_val, eps=eps)
+    R, scale = _reference_residual(disc, u, **kw)
+    for it in range(MAX_NEWTON):
+        wts = 1.0 / (1.0 + scale)
+        if float(np.max(np.abs(R) * wts)) <= rtol:
+            info["iterations"] += it
+            return u
+        ls_merit = float(np.linalg.norm(R * wts))
+        ab = _reference_band_matrix(disc, u, weight=weight, fp=fp, mass_coef=mass_coef,
+                                    dirichlet=dirichlet_val is not None, eps=eps)
+        r = np.abs(ab[1]).copy()
+        r[:-1] = np.maximum(r[:-1], np.abs(ab[0, 1:]))
+        r[1:] = np.maximum(r[1:], np.abs(ab[2, :-1]))
+        r = np.maximum(r, 1e-300)
+        ab[1] /= r
+        ab[0, 1:] /= r[:-1]
+        ab[2, :-1] /= r[1:]
+        delta = solve_banded((1, 1), ab, -R / r)
+        lam = 1.0
+        for _ in range(MAX_BACKTRACK):
+            u_try = u + lam * delta
+            if np.any(u_try < 0.0):
+                info["projections"] += 1
+                u_try = np.maximum(u_try, 0.0)
+            R_try, scale_try = _reference_residual(disc, u_try, **kw)
+            merit_try = float(np.linalg.norm(R_try * wts))
+            if np.isfinite(merit_try) and merit_try < ls_merit * (1.0 - 1e-3 * lam) + 1e-16:
+                u, R, scale = u_try, R_try, scale_try
+                break
+            lam *= 0.5
+        else:
+            raise SolverError("stalled")
+    raise SolverError("no convergence")
+
+
+def _reference_newton_solve(disc, u0, *, weight, f, fp, source=None, mass_coef=0.0,
+                            u_prev=None, dirichlet_val=None):
+    eps_ladder = [disc.eps_reg]
+    if disc.p != 2.0:
+        eps_ladder = [disc.eps_reg * 100.0, disc.eps_reg * 10.0, disc.eps_reg]
+    u = np.array(u0, dtype=float)
+    info = {"iterations": 0, "projections": 0, "restarts": 0}
+    for eps in eps_ladder:
+        final = eps == disc.eps_reg
+        try:
+            u = _reference_newton_single(disc, u, weight=weight, f=f, fp=fp, source=source,
+                                         mass_coef=mass_coef, u_prev=u_prev,
+                                         dirichlet_val=dirichlet_val,
+                                         rtol=NEWTON_RTOL if final else 1e-6, eps=eps,
+                                         info=info)
+            if final:
+                return u, info
+        except SolverError:
+            info["restarts"] += 1
+            u = np.array(u0, dtype=float)
+    raise SolverError("ladder exhausted")
+
+
+def _kernel_cases():
+    nl2, nl3 = power(2), power(3)
+    # p = 2 on an interval, Dirichlet data as an array
+    mesh = build_graded_mesh(interval(0.0, 1.0), 40, 2.0)
+    x = mesh.nodes
+    u_prev = 10.0 * (1.0 + 4.0 * x * (1.0 - x))
+    yield "p2-interval", Discretization.build(mesh, 2.0), u_prev, dict(
+        weight=np.ones_like(x), f=nl2.func, fp=nl2.deriv, mass_coef=1.0 / 0.05,
+        u_prev=u_prev, dirichlet_val=u_prev)
+    # p = 3 on an interval: the regularization ladder, a scalar cap
+    u_prev = np.full(x.size, 20.0)
+    yield "p3-interval", Discretization.build(mesh, 3.0), u_prev, dict(
+        weight=1.0 + x, f=nl3.func, fp=nl3.deriv, mass_coef=1.0 / 0.01,
+        u_prev=u_prev, dirichlet_val=20.0)
+    # a disc (N = 2): face weights r and a single Dirichlet node
+    mesh = build_graded_mesh(ball(1.0, 2), 40, 2.0)
+    r = mesh.nodes
+    u_prev = 5.0 + 5.0 * r * r
+    yield "ball2", Discretization.build(mesh, 2.0), u_prev, dict(
+        weight=np.ones_like(r), f=nl2.func, fp=nl2.deriv, mass_coef=1.0 / 0.02,
+        u_prev=u_prev, dirichlet_val=10.0)
+    # zero-flux ends: no Dirichlet rows at all
+    mesh = build_graded_mesh(interval(0.0, 1.0), 40, 1.0)
+    x = mesh.nodes
+    u_prev = 3.0 + np.sin(np.pi * x)
+    yield "no-flux", Discretization.build(mesh, 2.0, dirichlet_idx=[]), u_prev, dict(
+        weight=np.ones_like(x), f=nl2.func, fp=nl2.deriv, source=np.full(x.size, 2.0),
+        mass_coef=1.0 / 0.05, u_prev=u_prev)
+
+
+@pytest.mark.parametrize("case", list(_kernel_cases()), ids=lambda c: c[0])
+def test_newton_matches_band_matrix_reference_bit_for_bit(case):
+    _, disc, u0, kw = case
+    u, info = newton_solve(disc, u0, **kw)
+    u_ref, info_ref = _reference_newton_solve(disc, u0, **kw)
+    assert np.array_equal(u, u_ref)
+    assert info == info_ref
+    assert info["iterations"] >= 2
+    # the residual, its scale and the Jacobian diagonals, off the solve's path too
+    eps = 10.0 * disc.eps_reg
+    for v in (u0, 0.5 * (u0 + u)):
+        for got, ref in zip(disc.residual(v, eps=eps, **kw),
+                            _reference_residual(disc, v, eps=eps, **kw)):
+            assert np.array_equal(got, ref)
+        ab = _reference_band_matrix(disc, v, weight=kw["weight"], fp=kw["fp"],
+                                    mass_coef=kw["mass_coef"],
+                                    dirichlet="dirichlet_val" in kw, eps=eps)
+        lower, diag, upper = disc._jacobian_banded(v, weight=kw["weight"], fp=kw["fp"],
+                                                   mass_coef=kw["mass_coef"],
+                                                   dirichlet="dirichlet_val" in kw, eps=eps)
+        assert np.array_equal(lower, ab[2, :-1])
+        assert np.array_equal(diag, ab[1])
+        assert np.array_equal(upper, ab[0, 1:])
+
+
+def test_non_finite_newton_system_is_a_solver_error():
+    mesh = build_graded_mesh(interval(0.0, 1.0), 40, 1.0)
+    nl = power(2)
+    disc = Discretization.build(mesh, 2.0)
+    u0 = np.full(mesh.nodes.size, 1e200)  # f(u0) overflows
+    with pytest.raises(SolverError, match="non-finite") as exc_info, \
+            np.errstate(over="ignore", invalid="ignore"):
+        newton_solve(disc, u0, weight=np.ones_like(u0), f=nl.func, fp=nl.deriv,
+                     dirichlet_val=1.0)
+    assert set(exc_info.value.diagnostics) == {"iteration", "merit"}
+    assert exc_info.value.diagnostics["iteration"] == 0
+
+
+def test_singular_newton_system_is_a_solver_error():
+    # zero-flux Laplacian without absorption or mass: constants span its kernel
+    mesh = build_graded_mesh(interval(0.0, 1.0), 16, 1.0)
+    disc = Discretization.build(mesh, 2.0, dirichlet_idx=[])
+    u0 = mesh.nodes ** 2
+    zero = lambda u: 0.0 * u  # noqa: E731
+    with pytest.raises(SolverError, match="^linear solve failed: singular matrix"):
+        newton_solve(disc, u0, weight=np.ones_like(u0), f=zero, fp=zero)

@@ -327,3 +327,22 @@ def test_trajectory_csv_matches_the_field_by_field_reference(tmp_path):
     # the boundary nodes carry a NaN profile; the zero value is written too
     assert new.count(b",nan\n") == 2 * (times.size - 1)
     assert b",0.00000000000e+00," in new
+
+
+def test_trajectory_reuses_the_plain_curve_for_a_unit_frozen_weight(tmp_path, monkeypatch):
+    # b0 = 1: the frozen column is the plain curve, inverted once per time
+    mesh = build_graded_mesh(interval(0.0, 1.0), 6, 2.0)
+    prob = ParabolicProblem(mesh=mesh, p=2.0, nl=power_log(2),
+                            weight=constant_weight(const_kernel(), 1.0), horizon=0.5)
+    times = np.array([0.0, 0.05, 0.1, 0.2])
+    fld = synthetic_trajectory(mesh, times, lambda t: 1.0 / t)
+    rates._space_free_values.cache_clear()
+    calls = []
+    invert = blowdown.invert_decreasing
+    monkeypatch.setattr(blowdown, "invert_decreasing",
+                        lambda func, t: calls.append(t) or invert(func, t))
+    _write_trajectory_csv(tmp_path / "trajectory.csv", prob, fld)
+    assert sorted(calls) == list(times[1:])
+    with open(tmp_path / "trajectory.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(row["curve_frozen"] == row["curve_plain"] for row in rows)
