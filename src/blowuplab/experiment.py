@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .blowdown import BlowdownCurve
-from .elliptic import EllipticProblem, solve_elliptic_blowup
+from .elliptic import (DEFAULT_CAP_BASE, DEFAULT_CAP_FACTOR, DEFAULT_CAP_MARGIN, DEFAULT_CAP_RTOL,
+                       DEFAULT_MAX_RUNGS, EllipticProblem, solve_elliptic_blowup)
 from .errors import ConfigError, DomainError, NumericsError, SolverError
 from .geometry import ball, build_graded_mesh, interval
 from .karamata import (
@@ -94,11 +95,11 @@ class ExperimentConfig:
     # solver
     n_cells: int = 200
     mesh_grading: float = 2.0
-    cap_base: float = 10.0
-    cap_factor: float = 2.0
-    cap_margin: float = 4.0
-    cap_rtol: float = 1e-6
-    max_cap_rungs: int = 120
+    cap_base: float = DEFAULT_CAP_BASE
+    cap_factor: float = DEFAULT_CAP_FACTOR
+    cap_margin: float = DEFAULT_CAP_MARGIN
+    cap_rtol: float = DEFAULT_CAP_RTOL
+    max_cap_rungs: int = DEFAULT_MAX_RUNGS
     eps_start: float = 0.04
     eps_factor: float = 0.5
     eps_rungs: int = 4
@@ -301,7 +302,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         try:
             z_field = solve_elliptic_blowup(
                 eprob, cap_base=cfg.cap_base, cap_factor=cfg.cap_factor,
-                rtol=cfg.cap_rtol, max_rungs=cfg.max_cap_rungs, margin=cfg.cap_margin)
+                max_rungs=cfg.max_cap_rungs, margin=cfg.cap_margin)
         except SolverError as exc:
             fail(f"steady companion solve failed: {exc}")
         if z_field is not None:
@@ -323,7 +324,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         times = build_time_grid(cfg.t_star, cfg.n_steps, cfg.time_grading)
         try:
             minimal = minimal_solution(prob, times, cap_base=cfg.cap_base,
-                                       cap_factor=cfg.cap_factor, max_rungs=cfg.max_cap_rungs)
+                                       cap_factor=cfg.cap_factor, max_rungs=cfg.max_cap_rungs,
+                                       margin=cfg.cap_margin)
         except SolverError as exc:
             fail(f"minimal solution failed: {exc}")
         wants_maximal = any(c in cfg.checks for c in ("sandwich", "uniqueness"))
@@ -335,7 +337,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
                 try:
                     maximal = maximal_solution(prob, times, eps, cap_base=cfg.cap_base,
                                                cap_factor=cfg.cap_factor, rtol=cfg.cap_rtol,
-                                               max_rungs=cfg.max_cap_rungs)
+                                               max_rungs=cfg.max_cap_rungs,
+                                               margin=cfg.cap_margin)
                 except SolverError as exc:
                     fail(f"maximal solution failed: {exc}")
 

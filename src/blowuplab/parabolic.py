@@ -30,7 +30,8 @@ from typing import Callable
 import numpy as np
 
 from .discretize import Discretization, newton_solve
-from .elliptic import core_interior_idx
+from .elliptic import (DEFAULT_CAP_BASE, DEFAULT_CAP_FACTOR, DEFAULT_CAP_MARGIN, DEFAULT_CAP_RTOL,
+                       DEFAULT_MAX_RUNGS, cap_ladder, core_interior_idx)
 from .errors import DomainError, SolverError
 from .geometry import Mesh, distance_to_boundary, interval, ball
 from .karamata import AbsorptionWeight, cap_ceiling
@@ -38,10 +39,6 @@ from .nonlinearity import Nonlinearity
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_CAP_BASE = 10.0
-DEFAULT_CAP_FACTOR = 2.0
-DEFAULT_CAP_RTOL = 1e-6
-DEFAULT_MAX_RUNGS = 120
 MAX_STEP_HALVINGS = 10
 
 
@@ -188,45 +185,26 @@ def solve_capped(prob: ParabolicProblem, times, cap: float) -> SpaceTimeField:
                           meta={"cap": cap, "kind": "capped"})
 
 
-def _cap_ladder(prob, mesh, times, cap_base, cap_factor, max_rungs, margin=4.0, collar=4):
-    """March at the first ladder cap ``cap_base * cap_factor**k`` (k >= 1) that
-    reaches the resolved layer scale (profile at the first cell plus the
-    space-free curve at the first time step; see ``cap_ceiling``).
-
-    Past that scale the core interior no longer converges in the cap: its
-    relative change per doubling settles near 1 - 1/sqrt(2), the sqrt(cap)
-    excess mode of the first cells.  So the ladder is not climbed; one more
-    march at the rung below supplies the core delta as convergence evidence.
-    ``max_rungs`` bounds how many rungs the ceiling may take.
+def _cap_ladder(prob, mesh, times, cap_base, cap_factor, max_rungs, margin, collar=4):
+    """``cap_ladder`` for the march on ``mesh``: the ceiling is the resolved
+    layer scale of the profile at the first cell plus the space-free curve at
+    the first time step (see ``cap_ceiling``); the core delta skips the
+    initial slice, which is the cap itself.  Each rung marches from its own
+    cap, so the guess from the rung below goes unused.
     """
-    core = core_interior_idx(mesh, collar)
     interior = mesh.interior_idx
     d_mesh = mesh.boundary_distance()[interior]
     d_dom = distance_to_boundary(prob.mesh.domain, mesh.nodes)[interior]
     amp = np.asarray(prob.weight.amplitude(mesh.nodes[interior], float(times[1])), dtype=float)
     ceiling = cap_ceiling(prob.nl, prob.p, prob.weight.kernel, amp, d_dom, d_mesh,
                           dt_first=float(times[1] - times[0]), margin=margin)
-    cap = cap_base
-    for _ in range(1, max_rungs):
-        below, cap = cap, cap * cap_factor
-        if cap >= ceiling:
-            break
-    else:
-        raise SolverError(
-            "cap ladder exhausted without reaching its ceiling",
-            {"rungs": max_rungs, "last_cap": cap, "ceiling": ceiling},
-        )
-    values = _march(prob, mesh, times, cap)
-    body = values[1:][:, core]
-    body_below = _march(prob, mesh, times, below)[1:][:, core]
-    rel = np.abs(body - body_below) / np.maximum(np.abs(body), 1e-300)
-    return values, {"cap_rungs": 2, "final_cap": cap, "cap_ceiling": ceiling,
-                 "interior_delta": float(np.max(rel)), "collar": collar}
+    return cap_ladder(lambda cap, _: _march(prob, mesh, times, cap), ceiling,
+                      np.s_[1:, core_interior_idx(mesh, collar)], cap_base, cap_factor, max_rungs)
 
 
 def minimal_solution(prob: ParabolicProblem, times, cap_base: float = DEFAULT_CAP_BASE,
-                     cap_factor: float = DEFAULT_CAP_FACTOR,
-                     max_rungs: int = DEFAULT_MAX_RUNGS) -> SpaceTimeField:
+                     cap_factor: float = DEFAULT_CAP_FACTOR, max_rungs: int = DEFAULT_MAX_RUNGS,
+                     margin: float = DEFAULT_CAP_MARGIN) -> SpaceTimeField:
     """The minimal solution: the capped solution at the first ladder cap past
     the mesh's cap ceiling (the finite-mesh form of the limit cap -> infinity).
 
@@ -235,7 +213,7 @@ def minimal_solution(prob: ParabolicProblem, times, cap_base: float = DEFAULT_CA
     (``interior_delta``).
     """
     times = np.asarray(times, dtype=float)
-    values, meta = _cap_ladder(prob, prob.mesh, times, cap_base, cap_factor, max_rungs)
+    values, meta = _cap_ladder(prob, prob.mesh, times, cap_base, cap_factor, max_rungs, margin)
     meta["kind"] = "minimal"
     logger.info("minimal solution: cap %.3g against ceiling %.3g",
                 meta["final_cap"], meta["cap_ceiling"])
@@ -267,12 +245,13 @@ def _sub_mesh(mesh: Mesh, sl: slice) -> Mesh:
 def maximal_solution(prob: ParabolicProblem, times, eps_values,
                      cap_base: float = DEFAULT_CAP_BASE, cap_factor: float = DEFAULT_CAP_FACTOR,
                      rtol: float = DEFAULT_CAP_RTOL, max_rungs: int = DEFAULT_MAX_RUNGS,
-                     stop_rtol: float | None = None) -> SpaceTimeField:
+                     margin: float = DEFAULT_CAP_MARGIN) -> SpaceTimeField:
     """Limit over shrinking collars of minimal solutions on subdomains.
 
     For each eps the minimal problem is solved on the base-mesh nodes farther
     than eps from the boundary, starting at the first grid time past eps; the
-    collar then shrinks until interior values agree on the common region.
+    collar then shrinks until interior values agree on the common region
+    within ``10 * rtol``.
     The returned field is NaN where the last collar never reached; its meta
     records the trusted region (the previous collar), where values are
     converged in eps.
@@ -281,7 +260,6 @@ def maximal_solution(prob: ParabolicProblem, times, eps_values,
     eps_values = np.asarray(eps_values, dtype=float)
     if np.any(np.diff(eps_values) >= 0.0) or np.any(eps_values <= 0.0):
         raise DomainError("eps ladder must be positive and strictly decreasing")
-    stop_rtol = rtol * 10.0 if stop_rtol is None else stop_rtol
 
     full_shape = (times.size, prob.mesh.nodes.size)
     embeds: list[np.ndarray] = []
@@ -294,7 +272,7 @@ def maximal_solution(prob: ParabolicProblem, times, eps_values,
             raise DomainError(f"collar eps = {eps:g} leaves fewer than 3 time levels")
         sub = _sub_mesh(prob.mesh, sl)
         sub_times = times[j0:]
-        vals, meta = _cap_ladder(prob, sub, sub_times, cap_base, cap_factor, max_rungs)
+        vals, meta = _cap_ladder(prob, sub, sub_times, cap_base, cap_factor, max_rungs, margin)
         embed = np.full(full_shape, np.nan)
         embed[j0:, sl] = vals
         region = np.zeros(full_shape, dtype=bool)
@@ -312,7 +290,7 @@ def maximal_solution(prob: ParabolicProblem, times, eps_values,
             common = regions[0] & regions[1]
             num = float(np.max(np.abs(embeds[1][common] - embeds[0][common])))
             top = float(np.max(np.abs(embeds[1][common])))
-            if num < stop_rtol * top:
+            if num < 10.0 * rtol * top:
                 break
     # values within the final collar are not converged in eps: trust only the
     # previous rung's region

@@ -225,3 +225,15 @@ def test_sandwich_without_collar_ladder_is_a_failure(tmp_path):
     res = run_experiment(cfg, out_dir=tmp_path / "nocollar")
     assert not res.passed
     assert any("eps_rungs" in f for f in res.failures)
+
+
+def test_cap_margin_reaches_the_evolution_ladder(tmp_path):
+    # a larger margin raises the ceiling, so the minimal solution marches at
+    # a larger cap and its trajectory moves
+    def trajectory(name, **kw):
+        cfg = ExperimentConfig(name=name, n_cells=32, n_steps=12, checks=("boundary_rate",),
+                               eps_rungs=0, **kw)
+        run_experiment(cfg, out_dir=tmp_path / name)
+        return (tmp_path / name / "trajectory.csv").read_bytes()
+
+    assert trajectory("margin64", cap_margin=64.0) != trajectory("default")

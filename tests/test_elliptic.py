@@ -124,15 +124,19 @@ def test_comparison_detects_wrong_order():
 
 
 def test_blowup_ladder_interior_cauchy():
+    # the ladder solves once at the first cap past the ceiling, warm-started
+    # from the rung below, and lands on the cold capped solution there
     mesh = build_graded_mesh(interval(0.0, 1.0), 200, 2.0)
     prob = quadratic_problem(mesh)
     z = solve_elliptic_blowup(prob)
     assert z.blowup
-    deltas = np.array(z.meta["delta_history"])
-    # the core-interior changes decay until the resolved-layer ceiling is hit
-    tail = deltas[2:]
-    assert tail[-1] < tail[0]
-    assert np.all(np.diff(np.log(tail + 1e-300)) < 0.5)
+    assert z.meta["cap_rungs"] == 2
+    cap = 20.0
+    while cap < z.meta["cap_ceiling"]:
+        cap *= 2.0
+    assert z.meta["final_cap"] == cap
+    cold = solve_elliptic_capped(prob, cap)
+    np.testing.assert_allclose(z.values, cold.values, rtol=1e-9, atol=0.0)
 
 
 def test_blowup_field_sandwiched_by_profile():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import blowuplab.parabolic as pb
-from blowuplab.elliptic import EllipticProblem, solve_elliptic_capped
+from blowuplab.elliptic import EllipticProblem, solve_elliptic_blowup, solve_elliptic_capped
 from blowuplab.errors import DomainError, SolverError
 from blowuplab.geometry import build_graded_mesh, interval
 from blowuplab.karamata import const_kernel, constant_weight, power_kernel
@@ -320,29 +320,47 @@ def test_minimal_solution_is_the_capped_solution_at_its_final_cap():
     assert mn.meta["interior_delta"] == pytest.approx(1.0 - 1.0 / np.sqrt(2.0), abs=0.01)
 
 
-@pytest.mark.parametrize("cap_base, cap_factor", [(10.0, 2.0), (7.0, 3.0), (1e30, 2.0)])
-def test_final_cap_is_first_ladder_cap_past_ceiling(cap_base, cap_factor):
-    mesh = build_graded_mesh(interval(0.0, 1.0), 60, 2.0)
-    prob = unit_problem(mesh)
-    times = build_time_grid(0.2, 30, 2.0)
-    mn = minimal_solution(prob, times, cap_base=cap_base, cap_factor=cap_factor)
-    ceiling = mn.meta["cap_ceiling"]
-    assert mn.meta["final_cap"] == _first_cap_past(ceiling, cap_base, cap_factor)
-    assert mn.meta["final_cap"] >= max(ceiling, cap_base * cap_factor)
+def _ladder_mesh():
+    return build_graded_mesh(interval(0.0, 1.0), 60, 2.0)
 
 
-def test_cap_ladder_too_short_for_ceiling_raises():
-    mesh = build_graded_mesh(interval(0.0, 1.0), 60, 2.0)
-    prob = unit_problem(mesh)
-    times = build_time_grid(0.2, 30, 2.0)
+def _minimal_ladder(**kw):
+    return minimal_solution(unit_problem(_ladder_mesh()), build_time_grid(0.2, 30, 2.0), **kw)
+
+
+def _maximal_ladder(**kw):
+    return maximal_solution(unit_problem(_ladder_mesh()), build_time_grid(0.2, 30, 2.0),
+                            [0.08, 0.04], **kw)
+
+
+def _steady_ladder(**kw):
+    return solve_elliptic_blowup(EllipticProblem(mesh=_ladder_mesh(), p=2.0, nl=power(2)), **kw)
+
+
+LADDER_CAPS = [(10.0, 2.0), (7.0, 3.0), (1e30, 2.0)]
+
+
+@pytest.mark.parametrize("solve, cap_base, cap_factor", [
+    pytest.param(solve, base, factor, id=f"{prefix}{base}-{factor}")
+    for prefix, solve in (("", _minimal_ladder), ("steady-", _steady_ladder))
+    for base, factor in LADDER_CAPS
+])
+def test_final_cap_is_first_ladder_cap_past_ceiling(solve, cap_base, cap_factor):
+    meta = solve(cap_base=cap_base, cap_factor=cap_factor).meta
+    ceiling = meta["cap_ceiling"]
+    assert meta["final_cap"] == _first_cap_past(ceiling, cap_base, cap_factor)
+    assert meta["final_cap"] >= max(ceiling, cap_base * cap_factor)
+
+
+@pytest.mark.parametrize("solve", [_minimal_ladder, _maximal_ladder, _steady_ladder],
+                         ids=["minimal", "maximal", "steady"])
+def test_cap_ladder_too_short_for_ceiling_raises(solve):
     with pytest.raises(SolverError) as err:
-        minimal_solution(prob, times, max_rungs=3)
+        solve(max_rungs=3)
     diag = err.value.diagnostics
     assert diag["rungs"] == 3
     assert diag["last_cap"] == 40.0
     assert diag["ceiling"] > 40.0
-    with pytest.raises(SolverError):
-        maximal_solution(prob, times, [0.08, 0.04], max_rungs=3)
 
 
 def test_minimal_solution_on_fine_mesh_with_coarse_steps():
