@@ -80,6 +80,16 @@ class Discretization:
         idx, n = self.dirichlet_idx, self.mesh.nodes.size
         return idx[idx > 0] - 1, idx[idx < n - 1]
 
+    @cached_property
+    def _linear_conductances(self) -> tuple[np.ndarray, np.ndarray]:
+        # p = 2: the face conductances over the volumes below and above each
+        # face do not depend on u
+        c = self.m_face / self.h_face
+        c_lo, c_up = c / self.volumes[1:], c / self.volumes[:-1]
+        for a in (c_lo, c_up):
+            a.setflags(write=False)
+        return c_lo, c_up
+
     def _gradient(self, u: np.ndarray, eps: float):
         """Face gradients du and, for p != 2, the regularized du**2 + eps**2."""
         du = (u[1:] - u[:-1]) / self.h_face
@@ -130,16 +140,17 @@ class Discretization:
 
     def _jacobian_banded(self, u, *, weight, fp, mass_coef=0.0, dirichlet: bool,
                          eps: float | None = None):
-        """The residual's Jacobian as its (lower, diag, upper) diagonals."""
+        """The residual's Jacobian as its (lower, diag, upper) diagonals, each a
+        fresh array (the equilibration and ``gtsv`` overwrite them)."""
         eps = self.eps_reg if eps is None else eps
-        du, w = self._gradient(u, eps)
-        if w is None:
-            c = self.m_face / self.h_face  # face conductances
+        if self.p == 2.0:
+            c_lo, c_up = self._linear_conductances
         else:
+            du, w = self._gradient(u, eps)
             dq = w ** ((self.p - 4.0) / 2.0) * ((self.p - 1.0) * du * du + eps * eps)
-            c = self.m_face * dq / self.h_face
-        c_lo = c / self.volumes[1:]
-        c_up = c / self.volumes[:-1]
+            c = self.m_face * dq / self.h_face  # face conductances
+            c_lo = c / self.volumes[1:]
+            c_up = c / self.volumes[:-1]
         diag = np.empty(u.size)
         diag[:-1] = c_up
         diag[-1] = 0.0

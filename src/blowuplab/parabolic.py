@@ -6,8 +6,8 @@ constructs them:
 * minimal solution -- solve with data u = n on the whole parabolic boundary
   (initial slice and lateral sides) and send the cap n to infinity.  On a
   fixed mesh the limit is reached at the resolved layer scale
-  (``cap_ceiling``): the solve runs at the first cap of the doubling ladder
-  past that ceiling, plus one rung below it as convergence evidence;
+  (``cap_ceiling``): the solve is one march, at the first cap of the
+  doubling ladder past that ceiling;
 
 * maximal solution -- for a shrinking collar parameter eps, solve the minimal
   problem on the subdomain of points farther than eps from the boundary,
@@ -31,7 +31,7 @@ import numpy as np
 
 from .discretize import Discretization, newton_solve
 from .elliptic import (DEFAULT_CAP_BASE, DEFAULT_CAP_FACTOR, DEFAULT_CAP_MARGIN, DEFAULT_CAP_RTOL,
-                       DEFAULT_MAX_RUNGS, cap_ladder, core_interior_idx)
+                       DEFAULT_MAX_RUNGS, cap_ladder)
 from .errors import DomainError, SolverError
 from .geometry import Mesh, distance_to_boundary, interval, ball
 from .karamata import AbsorptionWeight, cap_ceiling
@@ -185,12 +185,14 @@ def solve_capped(prob: ParabolicProblem, times, cap: float) -> SpaceTimeField:
                           meta={"cap": cap, "kind": "capped"})
 
 
-def _cap_ladder(prob, mesh, times, cap_base, cap_factor, max_rungs, margin, collar=4):
-    """``cap_ladder`` for the march on ``mesh``: the ceiling is the resolved
-    layer scale of the profile at the first cell plus the space-free curve at
-    the first time step (see ``cap_ceiling``); the core delta skips the
-    initial slice, which is the cap itself.  Each rung marches from its own
-    cap, so the guess from the rung below goes unused.
+def _cap_ladder(prob, mesh, times, cap_base, cap_factor, max_rungs, margin):
+    """One march on ``mesh`` at the final cap of ``cap_ladder``.
+
+    The ceiling is the resolved layer scale of the profile at the first cell
+    plus the space-free curve at the first time step (see ``cap_ceiling``).
+    A march starts from its own cap, so a march one rung below would be no
+    warm start, and it is not run: the evolution ladders report no
+    ``interior_delta``.
     """
     interior = mesh.interior_idx
     d_mesh = mesh.boundary_distance()[interior]
@@ -198,8 +200,9 @@ def _cap_ladder(prob, mesh, times, cap_base, cap_factor, max_rungs, margin, coll
     amp = np.asarray(prob.weight.amplitude(mesh.nodes[interior], float(times[1])), dtype=float)
     ceiling = cap_ceiling(prob.nl, prob.p, prob.weight.kernel, amp, d_dom, d_mesh,
                           dt_first=float(times[1] - times[0]), margin=margin)
-    return cap_ladder(lambda cap, _: _march(prob, mesh, times, cap), ceiling,
-                      np.s_[1:, core_interior_idx(mesh, collar)], cap_base, cap_factor, max_rungs)
+    _, cap = cap_ladder(ceiling, cap_base, cap_factor, max_rungs)
+    return _march(prob, mesh, times, cap), {"cap_rungs": 1, "final_cap": cap,
+                                            "cap_ceiling": ceiling}
 
 
 def minimal_solution(prob: ParabolicProblem, times, cap_base: float = DEFAULT_CAP_BASE,
@@ -208,9 +211,8 @@ def minimal_solution(prob: ParabolicProblem, times, cap_base: float = DEFAULT_CA
     """The minimal solution: the capped solution at the first ladder cap past
     the mesh's cap ceiling (the finite-mesh form of the limit cap -> infinity).
 
-    ``meta`` holds the final cap, the ceiling, the number of capped marches
-    run (``cap_rungs``) and the core delta against the rung below
-    (``interior_delta``).
+    It takes one march, at that cap.  ``meta`` holds the final cap, the
+    ceiling and the number of capped marches run (``cap_rungs``, 1).
     """
     times = np.asarray(times, dtype=float)
     values, meta = _cap_ladder(prob, prob.mesh, times, cap_base, cap_factor, max_rungs, margin)

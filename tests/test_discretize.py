@@ -213,6 +213,8 @@ def test_newton_matches_band_matrix_reference_bit_for_bit(case):
         assert np.array_equal(lower, ab[2, :-1])
         assert np.array_equal(diag, ab[1])
         assert np.array_equal(upper, ab[0, 1:])
+        # the equilibration and gtsv overwrite the diagonals in place
+        assert all(a.flags.writeable for a in (lower, diag, upper))
 
 
 def test_non_finite_newton_system_is_a_solver_error():

@@ -307,17 +307,28 @@ def _first_cap_past(ceiling, base, factor):
     return cap
 
 
-def test_minimal_solution_is_the_capped_solution_at_its_final_cap():
+def test_minimal_solution_is_the_capped_solution_at_its_final_cap(monkeypatch):
     mesh = build_graded_mesh(interval(0.0, 1.0), 80, 2.0)
     prob = unit_problem(mesh)
     times = build_time_grid(0.2, 40, 2.0)
+    caps = []
+    march = pb._march
+
+    def counting(prob, mesh, times, cap):
+        caps.append(cap)
+        return march(prob, mesh, times, cap)
+
+    monkeypatch.setattr(pb, "_march", counting)
     mn = minimal_solution(prob, times)
+    # each evolution cap ladder marches once, at its final cap
+    assert caps == [mn.meta["final_cap"]]
+    assert mn.meta["cap_rungs"] == 1
     capped = solve_capped(prob, times, mn.meta["final_cap"])
     assert np.array_equal(mn.values, capped.values)
-    assert mn.meta["cap_rungs"] == 2
-    # the evidence march one rung below differs in the core by the sqrt(cap)
-    # excess mode, 1 - 1/sqrt(2)
-    assert mn.meta["interior_delta"] == pytest.approx(1.0 - 1.0 / np.sqrt(2.0), abs=0.01)
+    caps.clear()
+    mx = maximal_solution(prob, times, [0.08, 0.04])
+    assert len(caps) == len(mx.meta["eps_ladder"])
+    assert all(rungs == 1 for _, rungs in mx.meta["eps_ladder"])
 
 
 def _ladder_mesh():
