@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -72,7 +71,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="blowuplab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--jobs", type=int, default=1, help="concurrent experiments in a suite")
     parser.add_argument("--tolerance-scale", type=float, default=1.0,
                         help="multiply every pass tolerance by this factor")
     parser.add_argument("-v", "--verbose", action="store_true")
@@ -110,15 +108,9 @@ def main(argv=None) -> int:
 
     configs = [_scale_tolerances(c, args.tolerance_scale) for c in SUITES[args.name]]
     base = Path(args.out) if args.out else Path("out")
-    results = []
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(run_experiment, c, base / c.name) for c in configs]
-            results = [f.result() for f in futures]
-    else:
-        results = [run_experiment(c, base / c.name) for c in configs]
     ok = True
-    for res in results:
+    for cfg in configs:
+        res = run_experiment(cfg, base / cfg.name)
         _print_result(res, base / res.name)
         ok &= res.passed
     return 0 if ok else 1

@@ -5,12 +5,10 @@ the limit of solutions with finite Dirichlet cap n.  Capped solutions
 increase monotonically in the cap (the discrete system inherits the
 comparison principle from its M-matrix structure).  On a fixed mesh that
 limit is reached at the resolved boundary-layer scale (``cap_ceiling``):
-``cap_ladder`` picks the first ladder cap past that ceiling.  The steady
-problem solves there, warm-started from the solve one rung below, and
-reports the core gap between the two as ``interior_delta`` (about 0.054 on
-every mesh: the first cells' sqrt(cap) mode, not evidence of convergence).
-The evolution problems in ``parabolic`` take their caps from the same
-``cap_ladder`` and march once, at the final cap.
+``cap_ladder`` picks the first ladder cap past that ceiling.  Every cap
+ladder is one solve there: the steady problem solves once, cold, at the
+final cap, and the evolution problems in ``parabolic`` march once at the
+final cap of the same ``cap_ladder``.
 """
 
 from __future__ import annotations
@@ -91,58 +89,38 @@ class GridFunction:
     meta: dict = field(default_factory=dict)
 
 
-def solve_elliptic_capped(prob: EllipticProblem, cap: float, u0=None) -> GridFunction:
-    """Damped-Newton solve of the capped problem; positive, bounded by the cap."""
+def solve_elliptic_capped(prob: EllipticProblem, cap: float) -> GridFunction:
+    """Damped-Newton solve of the capped problem, started from the cap; positive,
+    bounded by the cap."""
     if cap <= 0.0:
         raise DomainError(f"cap must be positive, got {cap:g}")
     disc = Discretization.build(prob.mesh, prob.p)
     weight = prob.weight_values()
     src = prob.source_values()
-    u0 = np.full(prob.mesh.nodes.size, float(cap)) if u0 is None else np.array(u0, dtype=float)
-    u0[list(prob.mesh.boundary_idx)] = cap
+    u0 = np.full(prob.mesh.nodes.size, float(cap))
     u, info = newton_solve(disc, u0, weight=weight, f=prob.nl.func, fp=prob.nl.deriv,
                            source=src, dirichlet_val=float(cap))
     return GridFunction(mesh=prob.mesh, values=u, cap=float(cap), meta={"newton": info})
 
 
-def core_interior_idx(mesh: Mesh, collar: int) -> np.ndarray:
-    """Interior node indices at least ``collar`` nodes away from a Dirichlet node.
-
-    The first cells next to a capped boundary track the cap, not the limit
-    profile; stabilization is measured outside that collar.
-    """
-    mask = np.ones(mesh.nodes.size, dtype=bool)
-    for b in mesh.boundary_idx:
-        lo = max(b - collar, 0)
-        hi = min(b + collar, mesh.nodes.size - 1)
-        mask[lo:hi + 1] = False
-    idx = np.nonzero(mask)[0]
-    if idx.size == 0:
-        raise DomainError("mesh too coarse: the boundary collar swallows the interior")
-    return idx
-
-
 def cap_ladder(ceiling: float, cap_base: float = DEFAULT_CAP_BASE,
                cap_factor: float = DEFAULT_CAP_FACTOR,
-               max_rungs: int = DEFAULT_MAX_RUNGS) -> tuple[float, float]:
-    """The final cap of the limit cap -> infinity on a finite mesh, and the rung below it.
+               max_rungs: int = DEFAULT_MAX_RUNGS) -> float:
+    """The final cap of the limit cap -> infinity on a finite mesh.
 
     The final cap is the first ladder cap ``cap_base * cap_factor**k``
     (k >= 1) that reaches ``ceiling``, the resolved layer scale (see
     ``cap_ceiling``).  Past that scale the core interior no longer converges
     in the cap: fed by the sqrt(cap) excess mode of the first cells, its
     relative change per rung settles at a mesh-independent constant.  So the
-    ladder is not climbed: the evolution problems march once, at the final
-    cap; the steady problem also solves at the rung below, as the warm start
-    of its final solve, and reports the core gap as ``interior_delta``, not
-    as evidence of convergence.  ``max_rungs`` bounds how many rungs the
-    ceiling may take.
+    ladder is not climbed: every problem solves once, at the final cap.
+    ``max_rungs`` bounds how many rungs the ceiling may take.
     """
     cap = cap_base
     for _ in range(1, max_rungs):
-        below, cap = cap, cap * cap_factor
+        cap *= cap_factor
         if cap >= ceiling:
-            return below, cap
+            return cap
     raise SolverError(
         "cap ladder exhausted without reaching its ceiling; "
         "increase the mesh grading exponent or the rung budget",
@@ -156,15 +134,11 @@ def solve_elliptic_blowup(
     cap_factor: float = DEFAULT_CAP_FACTOR,
     max_rungs: int = DEFAULT_MAX_RUNGS,
     margin: float = DEFAULT_CAP_MARGIN,
-    collar: int = 4,
 ) -> GridFunction:
     """Limit of capped solutions (infinite boundary data) at the final cap of ``cap_ladder``.
 
-    The solve at the final cap warm-starts from the solution one rung below.
-    ``meta`` holds the final cap, its ceiling, ``cap_rungs`` (2) and the core
-    ``interior_delta`` between the two rungs outside a boundary collar of
-    ``collar`` nodes.  That delta is reported, not evidence of convergence:
-    it is about 0.054 on every mesh.
+    One cold solve at the final cap; ``meta`` holds the final cap, its
+    ceiling and ``cap_rungs`` (1).
     """
     mesh = prob.mesh
     d = mesh.boundary_distance()
@@ -175,16 +149,10 @@ def solve_elliptic_blowup(
         amp = np.full(interior.size, float(prob.amplitude))
     ceiling = cap_ceiling(prob.nl, prob.p, prob.kernel, amp,
                           d[interior], d[interior], margin=margin)
-    core = core_interior_idx(mesh, collar)
-    below, cap = cap_ladder(ceiling, cap_base, cap_factor, max_rungs)
-    lower = solve_elliptic_capped(prob, below).values
-    values = solve_elliptic_capped(prob, cap, u0=lower).values
-    top = values[core]
-    rel = np.abs(top - lower[core]) / np.maximum(np.abs(top), 1e-300)
-    meta = {"cap_rungs": 2, "final_cap": cap, "cap_ceiling": ceiling,
-            "interior_delta": float(np.max(rel))}
-    logger.info("elliptic cap ladder done: cap %.3g against ceiling %.3g, core delta %.2e",
-                cap, ceiling, meta["interior_delta"])
+    cap = cap_ladder(ceiling, cap_base, cap_factor, max_rungs)
+    values = solve_elliptic_capped(prob, cap).values
+    meta = {"cap_rungs": 1, "final_cap": cap, "cap_ceiling": ceiling}
+    logger.info("elliptic cap ladder done: cap %.3g against ceiling %.3g", cap, ceiling)
     return GridFunction(mesh=mesh, values=values, cap=cap, blowup=True, meta=meta)
 
 

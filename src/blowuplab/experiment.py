@@ -283,11 +283,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         summary.append("ok   " + msg)
 
     def guarded(label: str, fn):
-        """Run one check; failures are recorded, never propagated."""
+        """Run one solve or check and return its result; failures are recorded
+        (as None), never propagated."""
         try:
-            fn()
+            return fn()
         except (SolverError, DomainError, NumericsError) as exc:
             fail(f"{label}: {exc}")
+            return None
 
     if "conditions" in cfg.checks:
         report = check_conditions(nl, cfg.p)
@@ -296,15 +298,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         else:
             fail(f"structural conditions violated: {report}")
 
-    z_field = None
     if "elliptic_rate" in cfg.checks or "sandwich" in cfg.checks:
         eprob = EllipticProblem(mesh=mesh, p=cfg.p, nl=nl, kernel=kern, amplitude=cfg.amplitude)
-        try:
-            z_field = solve_elliptic_blowup(
-                eprob, cap_base=cfg.cap_base, cap_factor=cfg.cap_factor,
-                max_rungs=cfg.max_cap_rungs, margin=cfg.cap_margin)
-        except SolverError as exc:
-            fail(f"steady companion solve failed: {exc}")
+        z_field = guarded("steady companion solve failed", lambda: solve_elliptic_blowup(
+            eprob, cap_base=cfg.cap_base, cap_factor=cfg.cap_factor,
+            max_rungs=cfg.max_cap_rungs, margin=cfg.cap_margin))
         if z_field is not None:
             _write_solution_csv(out / "solutions.csv", eprob, z_field)
             res.artifacts.append("solutions.csv")
@@ -322,25 +320,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     minimal = maximal = None
     if needs_parabolic:
         times = build_time_grid(cfg.t_star, cfg.n_steps, cfg.time_grading)
-        try:
-            minimal = minimal_solution(prob, times, cap_base=cfg.cap_base,
-                                       cap_factor=cfg.cap_factor, max_rungs=cfg.max_cap_rungs,
-                                       margin=cfg.cap_margin)
-        except SolverError as exc:
-            fail(f"minimal solution failed: {exc}")
+        minimal = guarded("minimal solution failed", lambda: minimal_solution(
+            prob, times, cap_base=cfg.cap_base, cap_factor=cfg.cap_factor,
+            max_rungs=cfg.max_cap_rungs, margin=cfg.cap_margin))
         wants_maximal = any(c in cfg.checks for c in ("sandwich", "uniqueness"))
         if minimal is not None and wants_maximal:
             if cfg.eps_rungs <= 0:
                 fail("sandwich/uniqueness checks need a collar ladder (eps_rungs > 0)")
             else:
                 eps = cfg.eps_start * cfg.eps_factor ** np.arange(cfg.eps_rungs)
-                try:
-                    maximal = maximal_solution(prob, times, eps, cap_base=cfg.cap_base,
-                                               cap_factor=cfg.cap_factor, rtol=cfg.cap_rtol,
-                                               max_rungs=cfg.max_cap_rungs,
-                                               margin=cfg.cap_margin)
-                except SolverError as exc:
-                    fail(f"maximal solution failed: {exc}")
+                maximal = guarded("maximal solution failed", lambda: maximal_solution(
+                    prob, times, eps, cap_base=cfg.cap_base, cap_factor=cfg.cap_factor,
+                    rtol=cfg.cap_rtol, max_rungs=cfg.max_cap_rungs, margin=cfg.cap_margin))
 
     if minimal is not None:
         _write_trajectory_csv(out / "trajectory.csv", prob, minimal)

@@ -223,6 +223,14 @@ def is_convex(nl: Nonlinearity, grid=None) -> bool:
     return _increasing_on(np.diff(f_vals) / np.diff(grid), MONOTONE_TOL)
 
 
+def quotient_increasing(nl: Nonlinearity, exponent: float, grid=None) -> bool:
+    """Whether s -> s**-exponent f(s) is increasing on a sample grid (default:
+    the condition grid), up to a relative tolerance of MONOTONE_TOL."""
+    grid = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
+    f_vals = np.asarray(nl.func(grid), dtype=float)
+    return _increasing_on(grid ** (-float(exponent)) * f_vals, MONOTONE_TOL)
+
+
 def check_conditions(
     nl: Nonlinearity,
     p: float,
@@ -245,8 +253,6 @@ def check_conditions(
     superlinear = measured > p - 1.0 + 1e-9
 
     f_vals = np.array([float(nl.func(u)) for u in grid])
-    quotient = grid ** (-(p - 1.0)) * f_vals
-    quotient_increasing = _increasing_on(quotient, MONOTONE_TOL)
 
     scaling_ok = l > max(1.0, p - 1.0)
     if scaling_ok:
@@ -261,7 +267,7 @@ def check_conditions(
 
     return ConditionReport(
         superlinear_index=superlinear,
-        quotient_increasing=quotient_increasing,
+        quotient_increasing=quotient_increasing(nl, p - 1.0, grid),
         scaling_bound=scaling_ok,
         tail_integrable=tail_ok,
         convex=is_convex(nl, grid),

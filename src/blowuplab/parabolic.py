@@ -190,9 +190,6 @@ def _cap_ladder(prob, mesh, times, cap_base, cap_factor, max_rungs, margin):
 
     The ceiling is the resolved layer scale of the profile at the first cell
     plus the space-free curve at the first time step (see ``cap_ceiling``).
-    A march starts from its own cap, so a march one rung below would be no
-    warm start, and it is not run: the evolution ladders report no
-    ``interior_delta``.
     """
     interior = mesh.interior_idx
     d_mesh = mesh.boundary_distance()[interior]
@@ -200,7 +197,7 @@ def _cap_ladder(prob, mesh, times, cap_base, cap_factor, max_rungs, margin):
     amp = np.asarray(prob.weight.amplitude(mesh.nodes[interior], float(times[1])), dtype=float)
     ceiling = cap_ceiling(prob.nl, prob.p, prob.weight.kernel, amp, d_dom, d_mesh,
                           dt_first=float(times[1] - times[0]), margin=margin)
-    _, cap = cap_ladder(ceiling, cap_base, cap_factor, max_rungs)
+    cap = cap_ladder(ceiling, cap_base, cap_factor, max_rungs)
     return _march(prob, mesh, times, cap), {"cap_rungs": 1, "final_cap": cap,
                                             "cap_ceiling": ceiling}
 

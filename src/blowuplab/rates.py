@@ -24,7 +24,7 @@ from .elliptic import EllipticProblem, GridFunction
 from .errors import DomainError
 from .extrapolation import aitken_limit
 from .karamata import WeightKernel, effective_absorption, kernel_primitive, profile_value
-from .nonlinearity import Nonlinearity, blowup_order, is_convex
+from .nonlinearity import Nonlinearity, blowup_order, is_convex, quotient_increasing
 from .parabolic import ParabolicProblem, SpaceTimeField
 
 logger = logging.getLogger(__name__)
@@ -268,10 +268,7 @@ def initial_rate(
 
     dim = dom.dimension if dom.kind == "ball" else 1
     gate_p = prob.p > 2.0 * dim / (dim + 2.0)
-    grid = np.geomspace(1e-3, 1e6, 48)
-    fv = np.asarray(prob.nl.func(grid), dtype=float)
-    gate_f = bool(np.all(np.diff(fv / grid) >= -1e-12 * np.maximum(fv[1:] / grid[1:], 1.0)))
-    two_sided = gate_p and gate_f
+    two_sided = gate_p and quotient_increasing(prob.nl, 1.0)
 
     converged = _credible(lim, rtol)
     if two_sided:
@@ -359,11 +356,6 @@ def _by_branch(prob: ParabolicProblem, plain, eff):
     if prob.weight.kernel.monotonicity == "non-decreasing":
         return eff, plain
     return plain, eff
-
-
-def _envelope_curves(prob: ParabolicProblem):
-    """Space-free curves for the two envelope branches, as (upper, lower)."""
-    return _by_branch(prob, *_space_free_curves(prob.nl, prob.weight.kernel, prob.p))
 
 
 def sandwich_check(

@@ -178,8 +178,8 @@ def test_solve_only_run(tmp_path):
     assert len((out / "rates.csv").read_text().splitlines()) == 1
 
 
-def test_suite_runs_concurrently(tmp_path):
-    rc = main(["--out", str(tmp_path / "suite"), "--jobs", "2", "suite", "power-beta4"])
+def test_suite_runs(tmp_path):
+    rc = main(["--out", str(tmp_path / "suite"), "suite", "power-beta4"])
     assert rc == 0
     assert (tmp_path / "suite" / "power-interval-beta4" / "rates.csv").exists()
 
@@ -225,6 +225,27 @@ def test_sandwich_without_collar_ladder_is_a_failure(tmp_path):
     res = run_experiment(cfg, out_dir=tmp_path / "nocollar")
     assert not res.passed
     assert any("eps_rungs" in f for f in res.failures)
+
+
+def test_coarsest_steady_rate_is_a_named_failure(tmp_path):
+    # 8 cells is the coarsest mesh the grammar accepts: too few nodes for the rate ladder
+    cfg = ExperimentConfig(name="coarse", n_cells=8, n_steps=12, checks=("elliptic_rate",),
+                           eps_rungs=0)
+    res = run_experiment(cfg, out_dir=tmp_path / "coarse")
+    assert not res.passed
+    assert any("too few near-boundary nodes" in f for f in res.failures)
+    assert "FAIL" in (tmp_path / "coarse" / "summary.txt").read_text()
+
+
+def test_wide_collar_is_a_named_failure(tmp_path):
+    # a collar of 0.3 on 8 cells leaves fewer than 5 nodes in the shrunken domain
+    cfg = ExperimentConfig(name="wide", n_cells=8, n_steps=12, checks=("sandwich",),
+                           eps_start=0.3)
+    res = run_experiment(cfg, out_dir=tmp_path / "wide")
+    assert not res.passed
+    assert any(f.startswith("maximal solution failed") and "fewer than 5 nodes" in f
+               for f in res.failures)
+    assert "FAIL" in (tmp_path / "wide" / "summary.txt").read_text()
 
 
 def test_cap_margin_reaches_the_evolution_ladder(tmp_path):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from blowuplab import elliptic
 from blowuplab.elliptic import (
     EllipticProblem,
-    core_interior_idx,
     elliptic_comparison_check,
     solve_elliptic_blowup,
     solve_elliptic_capped,
@@ -124,21 +124,32 @@ def test_comparison_detects_wrong_order():
 
 
 def test_blowup_ladder_interior_cauchy():
-    # the ladder solves once at the first cap past the ceiling, warm-started
-    # from the rung below, and lands on the cold capped solution there
+    # the ladder solves once, cold, at the first cap past the ceiling
     mesh = build_graded_mesh(interval(0.0, 1.0), 200, 2.0)
     prob = quadratic_problem(mesh)
     z = solve_elliptic_blowup(prob)
     assert z.blowup
-    assert z.meta["cap_rungs"] == 2
-    # the warm-start solve one rung below still yields the reported core gap
-    assert "interior_delta" in z.meta
+    assert z.meta["cap_rungs"] == 1
+    assert "interior_delta" not in z.meta
     cap = 20.0
     while cap < z.meta["cap_ceiling"]:
         cap *= 2.0
     assert z.meta["final_cap"] == cap
     cold = solve_elliptic_capped(prob, cap)
-    np.testing.assert_allclose(z.values, cold.values, rtol=1e-9, atol=0.0)
+    assert np.array_equal(z.values, cold.values)
+
+
+def test_blowup_makes_one_newton_solve(monkeypatch):
+    calls = []
+    real = elliptic.newton_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "newton_solve", counting)
+    solve_elliptic_blowup(quadratic_problem(build_graded_mesh(interval(0.0, 1.0), 64, 2.0)))
+    assert len(calls) == 1
 
 
 def test_blowup_field_sandwiched_by_profile():
@@ -167,14 +178,6 @@ def test_blowup_with_linear_kernel_runs():
     z = solve_elliptic_blowup(prob)
     assert z.blowup
     assert np.all(z.values[mesh.interior_idx] > 0.0)
-
-
-def test_core_interior_excludes_collar():
-    mesh = build_graded_mesh(interval(0.0, 1.0), 32, 1.0)
-    idx = core_interior_idx(mesh, collar=3)
-    assert idx.min() == 4 and idx.max() == 28
-    with pytest.raises(DomainError):
-        core_interior_idx(mesh, collar=16)
 
 
 def test_capped_rejects_bad_cap():

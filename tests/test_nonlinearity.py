@@ -15,6 +15,7 @@ from blowuplab.nonlinearity import (
     power,
     power_log,
     primitive,
+    quotient_increasing,
     rv_index_estimate,
     validate_declared_index,
 )
@@ -160,6 +161,17 @@ def test_conditions_quotient_fails_for_large_p():
     # s^{-(p-1)} f = s^{-1} is decreasing for f = u^2, p = 4
     rep = check_conditions(power(2), 4.0)
     assert not rep.quotient_increasing
+
+
+def test_quotient_test_sees_a_late_peak():
+    # f(s)/s = s / (1 + (s/1e7)^2) rises up to s = 1e7, then falls
+    nl = Nonlinearity(name="saturating", index=2.0,
+                      func=lambda s: np.asarray(s, dtype=float) ** 2
+                      / (1.0 + (np.asarray(s, dtype=float) / 1e7) ** 2),
+                      deriv=lambda s: np.zeros_like(np.asarray(s, dtype=float)))
+    assert not quotient_increasing(nl, 1.0)
+    assert quotient_increasing(nl, 1.0, grid=np.geomspace(1e-3, 1e6, 48))  # ends before the peak
+    assert quotient_increasing(power(2), 1.0)
 
 
 def test_scaling_bound_implies_pointwise_inequality():

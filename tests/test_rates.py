@@ -13,7 +13,8 @@ from blowuplab.karamata import const_kernel, constant_weight, power_kernel
 from blowuplab.nonlinearity import power, power_log
 from blowuplab.parabolic import ParabolicProblem, SpaceTimeField, build_time_grid
 from blowuplab.rates import (
-    _envelope_curves,
+    _by_branch,
+    _space_free_curves,
     boundary_rate,
     initial_rate,
     predicted_boundary_constant,
@@ -185,6 +186,18 @@ def test_initial_rate_gate_upper_bound_only():
     assert not rep2.passed
 
 
+def test_initial_rate_two_sidedness_comes_from_the_quotient_test(monkeypatch):
+    mesh = build_graded_mesh(interval(0.0, 1.0), 64, 2.0)
+    w = constant_weight(const_kernel(), 1.0)
+    prob = ParabolicProblem(mesh=mesh, p=2.0, nl=power(2), weight=w, horizon=0.5)
+    times = build_time_grid(0.2, 400, 2.0)
+    fld = synthetic_trajectory(mesh, times, lambda t: 1.0 / t)
+    assert initial_rate(fld, prob, rtol=0.05).details["two_sided"]
+    monkeypatch.setattr(rates, "quotient_increasing", lambda nl, exponent, grid=None: False)
+    rep = initial_rate(fld, prob, rtol=0.05)
+    assert not rep.details["two_sided"] and rep.details["upper_bound_only"]
+
+
 def test_initial_rate_rejects_boundary_layer_point():
     mesh = build_graded_mesh(interval(0.0, 1.0), 64, 2.0)
     w = constant_weight(const_kernel(), 1.0)
@@ -266,7 +279,8 @@ def test_trajectory_curves_come_from_the_envelope_branches(tmp_path):
     def fmt(values):
         return [_fmt(v) for v in values]
 
-    upper, lower = _envelope_curves(prob)  # a non-decreasing kernel: (effective, plain)
+    # a non-decreasing kernel: (upper, lower) = (effective, plain)
+    upper, lower = _by_branch(prob, *_space_free_curves(prob.nl, prob.weight.kernel, prob.p))
     assert column("curve_effective") == fmt(upper.value(t))
     assert column("curve_plain") == fmt(lower.value(t))
     b0 = 2.0 * 0.5 ** 2  # amplitude * k(d)**p at the midpoint
