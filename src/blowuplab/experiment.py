@@ -288,7 +288,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         try:
             return fn()
         except (SolverError, DomainError, NumericsError) as exc:
-            fail(f"{label}: {exc}")
+            diagnostics = getattr(exc, "diagnostics", None)
+            fail(f"{label}: {exc}" + (f" ({_format_diagnostics(diagnostics)})" if diagnostics else ""))
             return None
 
     if "conditions" in cfg.checks:
@@ -386,6 +387,18 @@ def emit_report(reports, out_dir, summary_lines=()) -> list[str]:
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
     _write_plot_script(out / "plot_results.py")
     return ["rates.csv", "summary.txt", "plot_results.py"]
+
+
+def _format_diagnostics(diagnostics: dict) -> str:
+    """``key=value`` pairs in sorted key order, floats at 6 significant digits."""
+    def value(v) -> str:
+        if isinstance(v, float):
+            return f"{v:.6g}"
+        if isinstance(v, (list, tuple)):
+            return "[" + ", ".join(value(x) for x in v) + "]"
+        return str(v)
+
+    return ", ".join(f"{k}={value(diagnostics[k])}" for k in sorted(diagnostics))
 
 
 def _fmt(x: float) -> str:

@@ -26,12 +26,11 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError, DomainError, NumericsError
 from .extrapolation import LadderLimit, aitken_limit, geometric_ladder
 from .nonlinearity import Nonlinearity, blowup_order, primitive
-from .quadutil import invert_decreasing, upper_tail_integral
+from .quadutil import integral_on_interval, invert_decreasing, upper_tail_integral
 
 
 @dataclass(frozen=True)
@@ -112,8 +111,6 @@ def kernel_primitive(kernel: WeightKernel, s: float) -> float:
     if kernel.primitive_closed is not None:
         return float(kernel.primitive_closed(s))
     # kernels are integrable near 0 but may be singular there; split off a power tail
-    from .quadutil import integral_on_interval
-
     return integral_on_interval(kernel.func, 0.0, s)
 
 
@@ -123,6 +120,8 @@ def kernel_primitive_inverse(kernel: WeightKernel, y: float) -> float:
         if not 0.0 < s < kernel.support:
             raise DomainError(f"primitive inverse lands outside (0, mu): {s:g}")
         return s
+    from scipy.optimize import brentq
+
     top = kernel.support * (1.0 - 1e-12)
     if not 0.0 < y < kernel_primitive(kernel, top):
         raise DomainError(f"value {y:g} outside the range of the kernel primitive")

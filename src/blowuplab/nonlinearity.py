@@ -282,8 +282,12 @@ def _tail_integrable(nl: Nonlinearity, p: float, measured_index: float) -> bool:
     """Finite integral of F**(-1/p) over [1, inf)?
 
     The integrand decays like s**(-(rho+1)/p); a tail index <= 1 means the
-    integral diverges, which the quadrature would only discover slowly.
+    integral diverges, which the quadrature would only discover slowly.  A
+    pure-power primitive c * u**e makes the integrand exactly c' * s**(-e/p),
+    so the verdict is e/p > 1 without quadrature.
     """
+    if nl.primitive_power is not None:
+        return nl.primitive_power[1] / p > 1.0 + 1e-9
     decay = (measured_index + 1.0) / p
     if decay <= 1.0 + 1e-9:
         return False

@@ -1,6 +1,12 @@
 """Quadrature helpers for tail integrals of power-law-decaying integrands,
 the Gauss-Legendre rule of tabulated primitives, and the inversion of the
-decreasing functions they define."""
+decreasing functions they define.
+
+scipy's ``quad`` and ``brentq`` are imported inside the functions that call
+them, so they load on first use: importing ``scipy.integrate`` and
+``scipy.optimize`` costs about 0.3 s, and a pure-power run, whose profile,
+blow-down curve and tail check are closed forms, never calls either.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +14,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import DomainError, NumericsError
 
@@ -22,6 +26,8 @@ def upper_tail_integral(func, lower: float, decay: float, *, epsrel: float = 1e-
     integrand into a smooth function on (0, 1] (exactly linear for a pure
     power law), so adaptive quadrature converges to near machine accuracy.
     """
+    from scipy.integrate import quad
+
     if lower <= 0.0:
         raise DomainError(f"lower limit must be positive, got {lower:g}")
     if decay <= 1.0:
@@ -48,6 +54,8 @@ def upper_tail_integral(func, lower: float, decay: float, *, epsrel: float = 1e-
 
 def integral_on_interval(func, a: float, b: float, *, epsrel: float = 1e-11) -> float:
     """Plain adaptive quadrature on [a, b] with a finiteness check."""
+    from scipy.integrate import quad
+
     val, _ = quad(func, a, b, epsabs=0.0, epsrel=epsrel, limit=200)
     if not np.isfinite(val):
         raise NumericsError(f"integral over [{a:g}, {b:g}] did not converge")
@@ -112,5 +120,7 @@ def invert_decreasing(func, t: float) -> float:
         return a
     if abs(fb - t) <= 1e-13 * t:
         return b
+    from scipy.optimize import brentq
+
     lo, hi = sorted((a, b))
     return math.exp(brentq(lambda L: func(math.exp(L)) - t, math.log(lo), math.log(hi), rtol=1e-14))

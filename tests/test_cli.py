@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from blowuplab import experiment
 from blowuplab.cli import main
-from blowuplab.errors import ConfigError
+from blowuplab.errors import ConfigError, SolverError
 from blowuplab.experiment import ExperimentConfig, emit_report, load_config, run_experiment
 from blowuplab.geometry import build_graded_mesh, interval
 from blowuplab.elliptic import EllipticProblem
@@ -258,3 +259,16 @@ def test_cap_margin_reaches_the_evolution_ladder(tmp_path):
         return (tmp_path / name / "trajectory.csv").read_bytes()
 
     assert trajectory("margin64", cap_margin=64.0) != trajectory("default")
+
+
+def test_solver_error_diagnostics_reach_the_summary(tmp_path, monkeypatch):
+    def failing_solve(*args, **kwargs):
+        raise SolverError("x", {"merit": 1.5e-9, "history": [2.0, 1.5e-9], "rungs": 3})
+
+    monkeypatch.setattr(experiment, "solve_elliptic_blowup", failing_solve)
+    cfg = ExperimentConfig(name="diag", n_cells=32, n_steps=12, checks=("elliptic_rate",),
+                           eps_rungs=0)
+    res = run_experiment(cfg, out_dir=tmp_path / "diag")
+    assert not res.passed
+    line = "FAIL steady companion solve failed: x (history=[2, 1.5e-09], merit=1.5e-09, rungs=3)"
+    assert line in (tmp_path / "diag" / "summary.txt").read_text().splitlines()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -220,3 +221,24 @@ def test_blowup_order():
     assert blowup_order(4.0, 3.0) == pytest.approx(2.5)
     with pytest.raises(DomainError):
         blowup_order(1.0, 2.0)
+
+
+def test_pure_power_tail_check_is_closed_form(monkeypatch):
+    # the quadrature verdict, taken on the same absorption with its pure-power
+    # primitive undeclared, before the quadrature is disabled
+    grid = [(rho, p) for rho in (0.5, 1.0, 2.0, 3.0, 4.0) for p in (1.2, 1.5, 2.0, 2.5, 3.0, 4.0)]
+    assert (2.0, 3.0) in grid  # power(2) at p = 3: (rho + 1)/p = 1, divergent
+    expected = {}
+    for rho, p in grid:
+        nl = power(rho)
+        bare = dataclasses.replace(nl, primitive_power=None)
+        expected[rho, p] = nonlinearity._tail_integrable(bare, p, rv_index_estimate(nl))
+    assert not expected[2.0, 3.0] and expected[2.0, 2.5]
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("pure-power tail check ran a quadrature")
+
+    monkeypatch.setattr(nonlinearity, "upper_tail_integral", no_quadrature)
+    for rho, p in grid:
+        nl = power(rho)
+        assert nonlinearity._tail_integrable(nl, p, rv_index_estimate(nl)) == expected[rho, p]
