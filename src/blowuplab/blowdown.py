@@ -8,22 +8,26 @@ through the first integral
 
 which satisfies G(w(t)) = t exactly, so w(t) = G^{-1}(t).  For a pure power
 g = c w**rho (a Nonlinearity with a pure-power primitive) G inverts exactly,
-w(t) = ((rho-1) c t)**(-1/(rho-1)); for every other g the inverse is found
-up to quadrature and root-finding tolerances.  The tail integral demands g
-to grow faster than linearly; the growth index is either declared or
-measured on the fly.
+w(t) = ((rho-1) c t)**(-1/(rho-1)).  For any other Nonlinearity, G is read
+from a table of G(2**k) built once per absorption (``quadutil.TailTable``),
+so each evaluation is one Gauss-Legendre panel; for a plain callable g, and
+outside the table, G is an adaptive tail quadrature.  Either way G is
+inverted by bracketing and Brent's method.  The tail integral demands g to
+grow faster than linearly; the growth index is either declared or measured
+on the fly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericsError
 from .extrapolation import LadderLimit, aitken_limit
-from .nonlinearity import Nonlinearity, rv_index_estimate
-from .quadutil import invert_decreasing, upper_tail_integral
+from .nonlinearity import TABLE_KMAX, TABLE_KMIN, Nonlinearity, rv_index_estimate
+from .quadutil import TailTable, invert_decreasing, upper_tail_integral
 
 
 class BlowdownCurve:
@@ -31,6 +35,7 @@ class BlowdownCurve:
 
     def __init__(self, g, index: float | None = None, name: str = "blowdown"):
         self._power = None  # (rho, c) when g = c * w**rho exactly
+        self._nl = None  # the absorption whose table of G serves first_integral
         if isinstance(g, Nonlinearity):
             self.g = g.func
             index = g.index if index is None else index
@@ -38,6 +43,8 @@ class BlowdownCurve:
             if g.primitive_power is not None:
                 coef, expo = g.primitive_power
                 self._power = (expo - 1.0, coef * expo)
+            else:
+                self._nl = g
         else:
             self.g = g
         if index is None:
@@ -50,9 +57,15 @@ class BlowdownCurve:
         self.name = name
 
     def first_integral(self, w: float) -> float:
-        """G(w) = integral of 1/g from w to infinity."""
+        """G(w) = integral of 1/g from w to infinity: from the table of G for a
+        Nonlinearity without a pure-power primitive, else (and outside the
+        table) by adaptive quadrature."""
         if w <= 0.0:
             raise DomainError(f"first integral needs w > 0, got {w:g}")
+        if self._nl is not None:
+            t = _first_integral_table(self._nl, self.index)(w)
+            if t is not None:
+                return t
         return upper_tail_integral(lambda s: 1.0 / float(self.g(s)), w, self.index)
 
     def value(self, t):
@@ -80,6 +93,12 @@ class BlowdownCurve:
 
     def __call__(self, t):
         return self.value(t)
+
+
+@lru_cache(maxsize=32)
+def _first_integral_table(nl: Nonlinearity, index: float) -> TailTable:
+    """G at the nodes 2**k, TABLE_KMIN <= k <= TABLE_KMAX (the span of F's table)."""
+    return TailTable(lambda s: 1.0 / nl.func(s), index, TABLE_KMIN, TABLE_KMAX)
 
 
 def solve_blowdown(g, t, index: float | None = None):

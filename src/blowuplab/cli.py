@@ -33,6 +33,16 @@ SUITES: dict[str, list[ExperimentConfig]] = {
             checks=("conditions", "elliptic_rate", "boundary_rate", "initial_rate", "sandwich"),
         ),
     ],
+    "power-log": [
+        ExperimentConfig(
+            name="power-log-interval",
+            absorption="power_log(2)",
+            n_cells=200, n_steps=300, t_star=0.2, horizon=0.5,
+            boundary_t0=(0.1,), initial_window=(1e-2, 1e-1), pde_rtol=0.10,
+            eps_rungs=3, eps_start=0.04,
+            checks=("conditions", "elliptic_rate", "boundary_rate", "initial_rate", "sandwich"),
+        ),
+    ],
     "power-beta4": [
         ExperimentConfig(
             name="power-interval-beta4",

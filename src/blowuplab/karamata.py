@@ -11,7 +11,11 @@ The blow-up profile is the decreasing function phi defined by
 
 where F is the primitive of the absorption f.  The boundary rate of a
 blow-up solution is phi(K(d)) up to an explicit constant.  phi is computed
-by inverting the tail integral, never by time-stepping from infinity.
+by inverting the tail integral, never by time-stepping from infinity.  For
+a pure power the tail integral and its inverse are closed forms; otherwise
+the tail integral is read from a table of its values at 2**k, built once
+per absorption and p (``quadutil.TailTable``), with adaptive quadrature
+outside the table.
 
 The effective absorption  (k o K^{-1} o phi^{-1})(s)**p * f(s)  transfers
 the kernel's boundary degeneracy onto the absorption; its growth index is
@@ -29,8 +33,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericsError
 from .extrapolation import LadderLimit, aitken_limit, geometric_ladder
-from .nonlinearity import Nonlinearity, blowup_order, primitive
-from .quadutil import integral_on_interval, invert_decreasing, upper_tail_integral
+from .nonlinearity import TABLE_KMIN, Nonlinearity, blowup_order, primitive, primitive_table_top
+from .quadutil import TailTable, integral_on_interval, invert_decreasing, upper_tail_integral
 
 
 @dataclass(frozen=True)
@@ -156,9 +160,11 @@ class BlowupProfile:
     """The decreasing profile whose remaining tail time at height y is t.
 
     ``tail_time(y)`` evaluates T(y) = integral_y^inf (p' F(s))**(-1/p) ds,
-    and ``value(t)`` inverts it.  A pure-power primitive gives closed forms;
-    otherwise the tail integral is evaluated by adaptive quadrature with a
-    substitution matched to the declared decay index.
+    and ``value(t)`` inverts it.  A pure-power primitive gives closed forms.
+    Otherwise T is read from the table of T(2**k) for this absorption and p
+    plus one Gauss-Legendre panel, and outside the table's trusted nodes it is
+    evaluated by adaptive quadrature with a substitution matched to the
+    declared decay index.
     """
 
     def __init__(self, nl: Nonlinearity, p: float):
@@ -190,7 +196,8 @@ class BlowupProfile:
             raise DomainError(f"profile height must be positive, got {y:g}")
         if self._amp is not None:
             return self._amp * y ** (-self._expo)
-        return upper_tail_integral(self._integrand, y, self.decay)
+        t = _tail_time_table(self.nl, self.p)(y)
+        return upper_tail_integral(self._integrand, y, self.decay) if t is None else t
 
     def value(self, t):
         """phi(t): the unique height whose tail time equals t."""
@@ -215,6 +222,14 @@ class BlowupProfile:
 @lru_cache(maxsize=32)
 def _profile(nl: Nonlinearity, p: float) -> BlowupProfile:
     return BlowupProfile(nl, p)
+
+
+@lru_cache(maxsize=32)
+def _tail_time_table(nl: Nonlinearity, p: float) -> TailTable:
+    """T at the nodes 2**k up to the node below the top of F's table, so that
+    every panel reads F from that table."""
+    prof = _profile(nl, p)
+    return TailTable(prof._integrand, prof.decay, TABLE_KMIN, primitive_table_top(nl) - 1)
 
 
 def profile_value(nl: Nonlinearity, p: float, t):

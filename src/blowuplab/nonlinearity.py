@@ -14,7 +14,8 @@ The primitive F is exact where a closed form is declared.  Otherwise F is
 read from a table built once per nonlinearity: F at the nodes 2**k,
 k = -30..300, summed panel by panel with a 20-point Gauss-Legendre rule
 (one vectorized call of f), from F(2**-30) by adaptive quadrature.  A value
-between nodes adds one Gauss-Legendre panel to the table entry below it.
+between nodes adds one Gauss-Legendre panel to the table entry below it;
+an array of values takes one vectorized call of f for all its panels.
 Below the first node, and from the last finite table entry upward (the last
 node, or where F overflows), F falls back to adaptive quadrature from 0.
 """
@@ -103,30 +104,44 @@ def make_nonlinearity(key: str) -> Nonlinearity:
     return nl
 
 
-def primitive(nl: Nonlinearity, u: float) -> float:
-    """F(u) = integral of f from 0 to u.
+def primitive(nl: Nonlinearity, u):
+    """F(u) = integral of f from 0 to u; a float for a scalar u, else an array.
 
     The closed form when one is declared; otherwise the table of F at the
-    nodes 2**k plus one 20-point Gauss-Legendre panel from the node below u,
-    and adaptive quadrature from 0 for u outside the table's finite range
-    (below 2**-30, or at and above its last finite node).
+    nodes 2**k plus one 20-point Gauss-Legendre panel from the node below u
+    (one vectorized call of f for all table points), and adaptive quadrature
+    from 0 for each u outside the table's finite range (below 2**-30, or at
+    and above its last finite node).
     """
-    if u < 0.0:
-        raise DomainError(f"primitive needs u >= 0, got {u:g}")
-    if u == 0.0:
-        return 0.0
+    arr = np.asarray(u, dtype=float)
+    if np.any(arr < 0.0):
+        raise DomainError(f"primitive needs u >= 0, got {arr.min():g}")
     if nl.primitive_closed is not None:
-        return float(nl.primitive_closed(u))
-    table = _primitive_table(nl)
-    k = math.frexp(u)[1] - 1  # 2**k <= u < 2**(k+1)
-    i = k - TABLE_KMIN
-    if 0 <= i < table.size - 1 and np.isfinite(table[i + 1]):
-        x, w = gauss_legendre(TABLE_RULE_POINTS)
-        a = math.ldexp(1.0, k)
-        half = 0.5 * (u - a)
-        # a sum, not np.dot, for the reason given in _primitive_table
-        return float(table[i] + half * (w * nl.func(a + half * (1.0 + x))).sum())
-    return integral_on_interval(nl.func, 0.0, u)
+        out = np.asarray(nl.primitive_closed(arr), dtype=float)
+    else:
+        table = _primitive_table(nl)
+        flat = arr.ravel()
+        k = np.frexp(flat)[1] - 1  # 2**k <= u < 2**(k+1)
+        i = k - TABLE_KMIN
+        inside = (flat > 0.0) & (i >= 0) & (i < table.size - 1)
+        inside[inside] = np.isfinite(table[i[inside] + 1])
+        out = np.zeros_like(flat)
+        if inside.any():
+            x, w = gauss_legendre(TABLE_RULE_POINTS)
+            a = np.ldexp(1.0, k[inside])
+            half = 0.5 * (flat[inside] - a)
+            # a sum, not np.dot, for the reason given in _primitive_table
+            panels = half * (w * nl.func(a[:, None] + half[:, None] * (1.0 + x))).sum(axis=1)
+            out[inside] = table[i[inside]] + panels
+        for j in np.flatnonzero(~inside & (flat > 0.0)):
+            out[j] = integral_on_interval(nl.func, 0.0, float(flat[j]))
+        out = out.reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
+
+
+def primitive_table_top(nl: Nonlinearity) -> int:
+    """The k with ``primitive`` reading F from its table on [2**TABLE_KMIN, 2**k)."""
+    return TABLE_KMIN + int(np.flatnonzero(np.isfinite(_primitive_table(nl)))[-1])
 
 
 @lru_cache(maxsize=32)

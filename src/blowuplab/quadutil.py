@@ -1,6 +1,6 @@
 """Quadrature helpers for tail integrals of power-law-decaying integrands,
-the Gauss-Legendre rule of tabulated primitives, and the inversion of the
-decreasing functions they define.
+the Gauss-Legendre rule of tabulated primitives, dyadic tables of tail
+integrals, and the inversion of the decreasing functions they define.
 
 scipy's ``quad`` and ``brentq`` are imported inside the functions that call
 them, so they load on first use: importing ``scipy.integrate`` and
@@ -91,6 +91,63 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.array(nodes), np.array(weights)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+TAIL_RULE_POINTS = 20
+# the closed top tail of a TailTable carries a relative error that vanishes
+# only slowly (like 1/log X for a logarithmic factor); an entry is trusted once
+# the tail above it has shrunk that error by this many binary digits
+TAIL_TRUST_BITS = 40
+
+
+class TailTable:
+    """``int_y^inf h(s) ds`` for ``h ~ s**(-decay)``, read from a dyadic table.
+
+    The entries are the tail integrals at the nodes 2**k, ``kmin <= k <= top``,
+    summed panel by panel from the top down with a 20-point Gauss-Legendre
+    rule.  ``top`` is the last node up to ``kmax`` below which ``h`` stays
+    finite and positive (``h`` vectorized).  Above it the tail is closed by
+    Karamata's theorem, ``int_X^inf h ~ X h(X) / (decay - 1)``.  That closure
+    is exact only in the limit; its error is damped by the factor
+    (y/X)**(decay - 1) at an entry y below X, so entries are trusted only
+    ``TAIL_TRUST_BITS / (decay - 1)`` nodes below the top.  A value between
+    trusted nodes adds one panel to the entry above it; ``None`` outside them.
+    """
+
+    def __init__(self, h, decay: float, kmin: int, kmax: int):
+        if decay <= 1.0:
+            raise DomainError(f"tail decay index must exceed 1 for integrability, got {decay:g}")
+        self.h = h
+        self.kmin = kmin
+        nodes = np.exp2(np.arange(kmin, kmax + 1, dtype=float))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            h_nodes = np.asarray(h(nodes), dtype=float)
+        bad = ~(np.isfinite(h_nodes) & (h_nodes >= np.finfo(float).tiny))
+        top = int(np.argmax(bad)) - 1 if bad.any() else nodes.size - 1
+        trusted = top - math.ceil(TAIL_TRUST_BITS / (decay - 1.0))
+        if trusted <= 0:
+            self.values = np.empty(0)
+            return
+        # one panel per call, so that an h built on a table of its own holds
+        # no large temporary
+        tails = [nodes[top] * h_nodes[top] / (decay - 1.0)]
+        tails += [self._panel(a, 2.0 * a) for a in nodes[top - 1::-1]]
+        self.values = np.cumsum(tails)[::-1][:trusted + 1]
+        self.values.flags.writeable = False
+
+    def _panel(self, a: float, b: float) -> float:
+        x, w = gauss_legendre(TAIL_RULE_POINTS)
+        half = 0.5 * (b - a)
+        # a sum, not np.dot: a first BLAS call costs the process more memory than the table
+        return float(half * (w * self.h(a + half * (1.0 + x))).sum())
+
+    def __call__(self, y: float) -> float | None:
+        """The tail integral from y > 0, or None when y lies outside the trusted nodes."""
+        k = math.frexp(y)[1] - 1  # 2**k <= y < 2**(k+1)
+        i = k - self.kmin
+        if not 0 <= i < self.values.size - 1:
+            return None
+        return float(self.values[i + 1] + self._panel(y, math.ldexp(1.0, k + 1)))
 
 
 def invert_decreasing(func, t: float) -> float:

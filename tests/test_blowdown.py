@@ -17,7 +17,7 @@ from blowuplab import blowdown, karamata
 from blowuplab.errors import ConfigError, DomainError, NumericsError
 from blowuplab.karamata import BlowupProfile
 from blowuplab.nonlinearity import power, power_log
-from blowuplab.quadutil import invert_decreasing
+from blowuplab.quadutil import TailTable, invert_decreasing, upper_tail_integral
 
 ROOT6 = math.sqrt(6.0)
 
@@ -95,6 +95,62 @@ def test_invert_decreasing_paths():
     assert invert_decreasing(lambda x: x ** -2.0, 1e5) == pytest.approx(10 ** -2.5, rel=1e-13)
     with pytest.raises(DomainError):
         invert_decreasing(lambda x: 1.0 / (1.0 + x), 2.0)  # beyond func(0+) = 1
+
+
+def test_tail_table_of_a_pure_power_is_exact():
+    # the closed top tail X h(X) / (decay - 1) is exact for h = s**-2, so
+    # every entry, and every value between them, is the exact tail 1/y
+    table = TailTable(lambda s: s ** -2.0, 2.0, -30, 300)
+    for y in np.geomspace(2.0 ** -30, 2.0 ** 259, 200):
+        assert table(y) == pytest.approx(1.0 / y, rel=1e-14, abs=0.0)
+    # below the first node, and above the trusted top 2**(300 - 40)
+    assert table(2.0 ** -31) is None and table(2.0 ** 260) is None
+
+
+def _counting(monkeypatch, module):
+    calls = []
+
+    def counting(func, lower, decay, **kwargs):
+        calls.append(lower)
+        return upper_tail_integral(func, lower, decay, **kwargs)
+
+    monkeypatch.setattr(module, "upper_tail_integral", counting)
+    return calls
+
+
+@pytest.mark.parametrize("rho", [2.0, 3.0])
+def test_first_integral_table_matches_quadrature(rho, monkeypatch):
+    curve = BlowdownCurve(power_log(rho))
+    w = np.geomspace(1e-8, 1e70, 40)
+    t = np.geomspace(1e-4, 10.0, 6)
+    calls = _counting(monkeypatch, blowdown)
+    table = np.array([curve.first_integral(v) for v in w])
+    from_table = curve.value(t)
+    assert calls == []  # every G above came from the table
+    monkeypatch.setattr(blowdown, "_first_integral_table", lambda nl, index: lambda w: None)
+    quadrature = np.array([curve.first_integral(v) for v in w])
+    assert len(calls) == w.size
+    np.testing.assert_allclose(table, quadrature, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(from_table, curve.value(t), rtol=1e-10, atol=0.0)
+
+
+def test_first_integral_outside_the_table_is_the_quadrature(monkeypatch):
+    # below the first node 2**-30; above the trusted top (2**260 for power_log(2))
+    nl = power_log(2)
+    curve = BlowdownCurve(nl)
+    curve.first_integral(1.0)  # builds the table
+    calls = _counting(monkeypatch, blowdown)
+    for w in (1e-12, 2.0 ** 290):
+        assert curve.first_integral(w) == upper_tail_integral(
+            lambda s: 1.0 / float(nl.func(s)), w, nl.index)
+    assert calls == [1e-12, 2.0 ** 290]
+
+
+def test_plain_callable_curve_keeps_the_quadrature(monkeypatch):
+    calls = _counting(monkeypatch, blowdown)
+    nl = power_log(2)
+    BlowdownCurve(lambda u: float(nl.func(u)), index=2.0).first_integral(1.0)
+    assert calls == [1.0]
 
 
 def test_round_trip_first_integral():

@@ -185,6 +185,15 @@ def test_suite_runs(tmp_path):
     assert (tmp_path / "suite" / "power-interval-beta4" / "rates.csv").exists()
 
 
+def test_power_log_suite_passes_every_rate(tmp_path):
+    rc = main(["--out", str(tmp_path / "suite"), "suite", "power-log"])
+    assert rc == 0
+    with (tmp_path / "suite" / "power-log-interval" / "rates.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    assert all(row["passed"] == "1" for row in rows)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(SystemExit):
         main(["suite", "nonexistent"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from blowuplab import karamata
 from blowuplab.errors import ConfigError, DomainError
 from blowuplab.extrapolation import log_slope_limit
 from blowuplab.karamata import (
@@ -25,6 +26,7 @@ from blowuplab.karamata import (
     validated_weight,
 )
 from blowuplab.nonlinearity import power, power_log, rv_index_estimate
+from blowuplab.quadutil import upper_tail_integral
 
 ROOT6 = math.sqrt(6.0)
 # closed form for f = u^4, p = 3: phi(t) = (10/3)^(1/2) (3/2)^(3/2) t^(-3/2)
@@ -96,6 +98,48 @@ def test_profile_quadrature_path_matches_closed_form():
     for t in (1e-3, 0.1, 1.0, 10.0):
         assert prof.value(t) == pytest.approx(6.0 / t ** 2, rel=1e-6)
     assert prof.tail_time(6.0) == pytest.approx(1.0, rel=1e-9)
+
+
+def _counting_tail_integrals(monkeypatch):
+    calls = []
+
+    def counting(func, lower, decay, **kwargs):
+        calls.append(lower)
+        return upper_tail_integral(func, lower, decay, **kwargs)
+
+    monkeypatch.setattr(karamata, "upper_tail_integral", counting)
+    return calls
+
+
+@pytest.mark.parametrize("rho,p", [(2.0, 2.0), (3.0, 3.0)])
+def test_tail_time_table_matches_quadrature(rho, p, monkeypatch):
+    prof = BlowupProfile(power_log(rho), p)
+    y = np.geomspace(1e-8, 1e35, 16)
+    t = np.array([0.05, 0.5])
+    calls = _counting_tail_integrals(monkeypatch)
+    table = np.array([prof.tail_time(v) for v in y])
+    from_table = prof.value(t)
+    assert calls == []  # every T above came from the table
+    monkeypatch.setattr(karamata, "_tail_time_table", lambda nl, p: lambda y: None)
+    quadrature = np.array([prof.tail_time(v) for v in y])
+    assert len(calls) == y.size
+    np.testing.assert_allclose(table, quadrature, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(from_table, prof.value(t), rtol=1e-10, atol=0.0)
+
+
+def test_tail_time_outside_the_table_is_the_quadrature(monkeypatch):
+    # below the first node 2**-30; above the trusted tops, where the integral
+    # above has damped the top closure's error by 2**-40: 2**219 for
+    # power_log(2) at p = 2 and 2**132 for power_log(3) at p = 3
+    cases = [(power_log(2), 2.0, 1e-12), (power_log(2), 2.0, 2.0 ** 250),
+             (power_log(3), 3.0, 2.0 ** 150)]
+    for nl, p, y in cases:
+        prof = BlowupProfile(nl, p)
+        prof.tail_time(1.0)  # builds the table
+        calls = _counting_tail_integrals(monkeypatch)
+        assert prof.tail_time(y) == upper_tail_integral(prof._integrand, y, prof.decay)
+        assert calls == [y]
+        monkeypatch.undo()
 
 
 def test_profile_inverse_and_round_trip():

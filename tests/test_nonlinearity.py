@@ -83,6 +83,15 @@ def test_primitive_inside_the_table_runs_no_quadrature(monkeypatch):
     assert calls == []
 
 
+def test_primitive_of_an_array_equals_the_scalar_values():
+    # inside the table, below it, and above its last node, in one call
+    u = np.array([[0.0, 1e-12, 2.0 ** -30], [0.3, 3e40, 2.0 ** 301]])
+    for nl in (power_log(2), power(2)):
+        got = primitive(nl, u)
+        assert got.shape == u.shape
+        assert np.array_equal(got, [[primitive(nl, float(v)) for v in row] for row in u])
+
+
 def test_gauss_legendre_rule_is_exact_to_degree_39():
     x, w = gauss_legendre(20)
     assert np.all(np.diff(x) > 0.0) and -1.0 < x[0] and x[-1] < 1.0
