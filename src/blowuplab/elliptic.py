@@ -27,10 +27,9 @@ from .nonlinearity import Nonlinearity
 
 logger = logging.getLogger(__name__)
 
-# cap ladder defaults; the shrinking-collar ladder stops at 10 * DEFAULT_CAP_RTOL
+# cap ladder defaults
 DEFAULT_CAP_BASE = 10.0
 DEFAULT_CAP_FACTOR = 2.0
-DEFAULT_CAP_RTOL = 1e-6
 DEFAULT_MAX_RUNGS = 120
 DEFAULT_CAP_MARGIN = 4.0
 

@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .blowdown import BlowdownCurve
-from .elliptic import (DEFAULT_CAP_BASE, DEFAULT_CAP_FACTOR, DEFAULT_CAP_MARGIN, DEFAULT_CAP_RTOL,
-                       DEFAULT_MAX_RUNGS, EllipticProblem, solve_elliptic_blowup)
+from .elliptic import (DEFAULT_CAP_BASE, DEFAULT_CAP_FACTOR, DEFAULT_CAP_MARGIN, DEFAULT_MAX_RUNGS,
+                       EllipticProblem, solve_elliptic_blowup)
 from .errors import ConfigError, DomainError, NumericsError, SolverError
 from .geometry import ball, build_graded_mesh, interval
 from .karamata import (
@@ -64,7 +64,7 @@ _SCHEMA = {
         "amplitude", "horizon", "t_star", "allow_full_horizon",
     },
     "solver": {
-        "n_cells", "mesh_grading", "cap_base", "cap_factor", "cap_margin", "cap_rtol",
+        "n_cells", "mesh_grading", "cap_base", "cap_factor", "cap_margin",
         "max_cap_rungs", "eps_start", "eps_factor", "eps_rungs", "n_steps", "time_grading",
     },
     "verification": {
@@ -98,7 +98,6 @@ class ExperimentConfig:
     cap_base: float = DEFAULT_CAP_BASE
     cap_factor: float = DEFAULT_CAP_FACTOR
     cap_margin: float = DEFAULT_CAP_MARGIN
-    cap_rtol: float = DEFAULT_CAP_RTOL
     max_cap_rungs: int = DEFAULT_MAX_RUNGS
     eps_start: float = 0.04
     eps_factor: float = 0.5
@@ -172,7 +171,6 @@ def load_config(path) -> ExperimentConfig:
     take("solver", "cap_base", float, check=lambda v: v > 0, describe="cap_base must be positive")
     take("solver", "cap_factor", float, check=lambda v: v > 1, describe="cap_factor must exceed 1")
     take("solver", "cap_margin", float, check=lambda v: v >= 1, describe="cap_margin must be >= 1")
-    take("solver", "cap_rtol", float, check=lambda v: 0 < v < 1, describe="cap_rtol in (0,1)")
     take("solver", "max_cap_rungs", int, check=lambda v: v >= 2, describe="need >= 2 rungs")
     take("solver", "eps_start", float, check=lambda v: v > 0, describe="eps_start must be positive")
     take("solver", "eps_factor", float, check=lambda v: 0 < v < 1, describe="eps_factor in (0,1)")
@@ -332,7 +330,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
                 eps = cfg.eps_start * cfg.eps_factor ** np.arange(cfg.eps_rungs)
                 maximal = guarded("maximal solution failed", lambda: maximal_solution(
                     prob, times, eps, cap_base=cfg.cap_base, cap_factor=cfg.cap_factor,
-                    rtol=cfg.cap_rtol, max_rungs=cfg.max_cap_rungs, margin=cfg.cap_margin))
+                    max_rungs=cfg.max_cap_rungs, margin=cfg.cap_margin))
 
     if minimal is not None:
         _write_trajectory_csv(out / "trajectory.csv", prob, minimal)
@@ -435,16 +433,19 @@ def _write_trajectory_csv(path: Path, prob: ParabolicProblem, fld) -> None:
     # which for b0 = 1 is the plain curve
     tau = xi if b0 == 1.0 else BlowdownCurve(prob.nl).value(b0 * t)
     # t and the curves repeat across nodes, x, d and the profile across steps:
-    # format each once and only the value per row, one chunk per time step
-    heads = [f"{_fmt(x)},{_fmt(dv)}," for x, dv in zip(mesh.nodes, d)]
-    tails = [f",{_fmt(pv)}\n" for pv in prof]
+    # format each once, into one template that takes every step's time prefix,
+    # values and curves ("%.11e" % v equals _fmt(v) for every float)
+    n = mesh.nodes.size
+    tmpl = "".join([f"%s{_fmt(x)},{_fmt(dv)},%.11e%s,{_fmt(pv)}\n"
+                    for x, dv, pv in zip(mesh.nodes, d, prof)])
+    args = [None] * (3 * n)
     with open(path, "w") as fh:
         fh.write("t,x,d,value,curve_plain,curve_effective,curve_frozen,profile\n")
         for k, j in enumerate(rows):
-            pre = f"{_fmt(t[k])},"
-            mid = f",{_fmt(xi[k])},{_fmt(xis[k])},{_fmt(tau[k])}"
-            fh.write("".join([pre + head + _fmt(v) + mid + tail
-                              for head, v, tail in zip(heads, fld.values[j], tails)]))
+            args[0::3] = [f"{_fmt(t[k])},"] * n
+            args[1::3] = fld.values[j].tolist()
+            args[2::3] = [f",{_fmt(xi[k])},{_fmt(xis[k])},{_fmt(tau[k])}"] * n
+            fh.write(tmpl % tuple(args))
 
 
 def _write_rates_csv(path: Path, reports: list[RateReport]) -> None:

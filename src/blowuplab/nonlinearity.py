@@ -16,8 +16,10 @@ k = -30..300, summed panel by panel with a 20-point Gauss-Legendre rule
 (one vectorized call of f), from F(2**-30) by adaptive quadrature.  A value
 between nodes adds one Gauss-Legendre panel to the table entry below it;
 an array of values takes one vectorized call of f for all its panels.
-Below the first node, and from the last finite table entry upward (the last
-node, or where F overflows), F falls back to adaptive quadrature from 0.
+Below the first node, above the last node, and between the last finite
+table entry and the first non-finite one, F falls back to adaptive
+quadrature from 0.  F is inf where it overflows: from the first non-finite
+table entry up, and wherever that quadrature overflows.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ def primitive(nl: Nonlinearity, u):
     nodes 2**k plus one 20-point Gauss-Legendre panel from the node below u
     (one vectorized call of f for all table points), and adaptive quadrature
     from 0 for each u outside the table's finite range (below 2**-30, or at
-    and above its last finite node).
+    and above its last finite node).  F is inf where it overflows: at and
+    above the table's first non-finite node, and where the quadrature does.
     """
     arr = np.asarray(u, dtype=float)
     if np.any(arr < 0.0):
@@ -119,13 +122,14 @@ def primitive(nl: Nonlinearity, u):
     if nl.primitive_closed is not None:
         out = np.asarray(nl.primitive_closed(arr), dtype=float)
     else:
-        table = _primitive_table(nl)
+        table, n_finite = _primitive_table(nl)
         flat = arr.ravel()
         k = np.frexp(flat)[1] - 1  # 2**k <= u < 2**(k+1)
         i = k - TABLE_KMIN
-        inside = (flat > 0.0) & (i >= 0) & (i < table.size - 1)
-        inside[inside] = np.isfinite(table[i[inside] + 1])
+        inside = (flat > 0.0) & (i >= 0) & (i < n_finite - 1)
+        overflow = (i >= n_finite) & (n_finite < table.size)
         out = np.zeros_like(flat)
+        out[overflow] = np.inf
         if inside.any():
             x, w = gauss_legendre(TABLE_RULE_POINTS)
             a = np.ldexp(1.0, k[inside])
@@ -133,20 +137,25 @@ def primitive(nl: Nonlinearity, u):
             # a sum, not np.dot, for the reason given in _primitive_table
             panels = half * (w * nl.func(a[:, None] + half[:, None] * (1.0 + x))).sum(axis=1)
             out[inside] = table[i[inside]] + panels
-        for j in np.flatnonzero(~inside & (flat > 0.0)):
-            out[j] = integral_on_interval(nl.func, 0.0, float(flat[j]))
+        for j in np.flatnonzero(~inside & ~overflow & (flat > 0.0)):
+            try:
+                out[j] = integral_on_interval(nl.func, 0.0, float(flat[j]))
+            except NumericsError:  # F overflows inside the quadrature
+                out[j] = np.inf
         out = out.reshape(arr.shape)
     return float(out) if arr.ndim == 0 else out
 
 
 def primitive_table_top(nl: Nonlinearity) -> int:
     """The k with ``primitive`` reading F from its table on [2**TABLE_KMIN, 2**k)."""
-    return TABLE_KMIN + int(np.flatnonzero(np.isfinite(_primitive_table(nl)))[-1])
+    return TABLE_KMIN + _primitive_table(nl)[1] - 1
 
 
 @lru_cache(maxsize=32)
-def _primitive_table(nl: Nonlinearity) -> np.ndarray:
-    """F at the nodes 2**k, TABLE_KMIN <= k <= TABLE_KMAX; non-finite from where F overflows."""
+def _primitive_table(nl: Nonlinearity) -> tuple[np.ndarray, int]:
+    """F at the nodes 2**k, TABLE_KMIN <= k <= TABLE_KMAX, and the number of
+    finite entries: F is increasing, so they come first, and F overflows
+    from the first non-finite node up."""
     x, w = gauss_legendre(TABLE_RULE_POINTS)
     lo = np.exp2(np.arange(TABLE_KMIN, TABLE_KMAX, dtype=float))  # left panel ends
     half = 0.5 * lo  # the panel [2**k, 2**(k+1)] has half-width 2**(k-1)
@@ -157,7 +166,7 @@ def _primitive_table(nl: Nonlinearity) -> np.ndarray:
         panels = half * (f_vals * w).sum(axis=1)
         table = np.cumsum(np.concatenate(([integral_on_interval(nl.func, 0.0, lo[0])], panels)))
     table.flags.writeable = False  # shared by every caller
-    return table
+    return table, int(np.isfinite(table).sum())
 
 
 def rv_index_estimate(nl, xi_probe: float = 2.0, u_ladder=None) -> float:

@@ -11,9 +11,12 @@ constructs them:
 
 * maximal solution -- for a shrinking collar parameter eps, solve the minimal
   problem on the subdomain of points farther than eps from the boundary,
-  starting at the first grid time past eps, then send eps to 0.  Shrunken
-  domains reuse the base mesh nodes (the grading toward the true boundary
-  already resolves the collar layers), so fields stay nodally comparable.
+  starting at the first grid time past eps, then send eps to 0.  Every eps
+  of the ladder is validated, and one march runs, at the last eps; the
+  trusted region comes from the previous eps's geometry, and nothing yet
+  measures convergence in eps.  Shrunken domains reuse the base mesh nodes
+  (the grading toward the true boundary already resolves the collar
+  layers), so fields stay nodally comparable.
 
 Time stepping is backward Euler: unconditionally monotone, which is what the
 comparison-based oracles need; accuracy is recovered downstream by
@@ -30,8 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .discretize import Discretization, newton_solve
-from .elliptic import (DEFAULT_CAP_BASE, DEFAULT_CAP_FACTOR, DEFAULT_CAP_MARGIN, DEFAULT_CAP_RTOL,
-                       DEFAULT_MAX_RUNGS, cap_ladder)
+from .elliptic import (DEFAULT_CAP_BASE, DEFAULT_CAP_FACTOR, DEFAULT_CAP_MARGIN, DEFAULT_MAX_RUNGS,
+                       cap_ladder)
 from .errors import DomainError, SolverError
 from .geometry import Mesh, distance_to_boundary, interval, ball
 from .karamata import AbsorptionWeight, cap_ceiling
@@ -243,68 +246,53 @@ def _sub_mesh(mesh: Mesh, sl: slice) -> Mesh:
 
 def maximal_solution(prob: ParabolicProblem, times, eps_values,
                      cap_base: float = DEFAULT_CAP_BASE, cap_factor: float = DEFAULT_CAP_FACTOR,
-                     rtol: float = DEFAULT_CAP_RTOL, max_rungs: int = DEFAULT_MAX_RUNGS,
+                     max_rungs: int = DEFAULT_MAX_RUNGS,
                      margin: float = DEFAULT_CAP_MARGIN) -> SpaceTimeField:
-    """Limit over shrinking collars of minimal solutions on subdomains.
+    """Minimal solution on the subdomain of the last collar of a shrinking ladder.
 
-    For each eps the minimal problem is solved on the base-mesh nodes farther
-    than eps from the boundary, starting at the first grid time past eps; the
-    collar then shrinks until interior values agree on the common region
-    within ``10 * rtol``, in the max norm.  Cap-sized values next to each
-    collar dominate that norm, so in practice the rule does not fire and
-    every collar runs (successive relative deltas of 65 and 25 in the
-    ``power`` suite).
-    The returned field is NaN where the last collar never reached.  Its meta
-    records ``trusted_region``: the region of the previous collar (of the
-    only collar when one ran), which keeps clear of the last collar's
-    boundary layer.  No convergence evidence backs it: values there are not
-    shown to be converged in eps.
+    The theory sends eps to 0 through the minimal problems solved on the
+    base-mesh nodes farther than eps from the boundary, each starting at the
+    first grid time past eps.  Every eps of the ladder is validated first, so
+    a collar too wide for the mesh or the time grid is a ``DomainError``
+    before any march; then one march runs, at the last eps.
+    The returned field is NaN where that collar never reached.  Its meta
+    records ``trusted_region``: the region of the previous eps (of the only
+    eps when the ladder has one), built from its slice and start time with
+    no march, which keeps clear of the last collar's boundary layer.  No
+    convergence evidence in eps backs it.
     """
     times = np.asarray(times, dtype=float)
     eps_values = np.asarray(eps_values, dtype=float)
     if np.any(np.diff(eps_values) >= 0.0) or np.any(eps_values <= 0.0):
         raise DomainError("eps ladder must be positive and strictly decreasing")
 
-    full_shape = (times.size, prob.mesh.nodes.size)
-    embeds: list[np.ndarray] = []
-    regions: list[np.ndarray] = []
-    used = []
+    collars = []
     for eps in eps_values:
         sl = _shrunken_slice(prob.mesh, eps)
         j0 = int(np.searchsorted(times, eps, side="left"))
         if j0 > times.size - 3:
             raise DomainError(f"collar eps = {eps:g} leaves fewer than 3 time levels")
-        sub = _sub_mesh(prob.mesh, sl)
-        sub_times = times[j0:]
-        vals, meta = _cap_ladder(prob, sub, sub_times, cap_base, cap_factor, max_rungs, margin)
-        embed = np.full(full_shape, np.nan)
-        embed[j0:, sl] = vals
-        region = np.zeros(full_shape, dtype=bool)
-        region[j0 + 1:, sl] = True
-        region[:, sl.stop - 1] = False
-        if prob.mesh.domain.kind == "interval":
-            region[:, sl.start] = False
-        embeds.append(embed)
-        regions.append(region)
-        if len(embeds) > 2:
-            embeds.pop(0)
-            regions.pop(0)
-        used.append((float(eps), meta["cap_rungs"]))
-        if len(embeds) == 2:
-            common = regions[0] & regions[1]
-            num = float(np.max(np.abs(embeds[1][common] - embeds[0][common])))
-            top = float(np.max(np.abs(embeds[1][common])))
-            if num < 10.0 * rtol * top:
-                break
+        collars.append((sl, j0))
+    sl, j0 = collars[-1]
+    vals, meta = _cap_ladder(prob, _sub_mesh(prob.mesh, sl), times[j0:],
+                             cap_base, cap_factor, max_rungs, margin)
+    values = np.full((times.size, prob.mesh.nodes.size), np.nan)
+    values[j0:, sl] = vals
     # the final collar's region holds its own boundary layer: report the
-    # previous rung's region instead
-    meta = {
+    # previous collar's region instead
+    trusted_sl, trusted_j0 = collars[-2] if len(collars) > 1 else collars[-1]
+    trusted = np.zeros(values.shape, dtype=bool)
+    trusted[trusted_j0 + 1:, trusted_sl] = True
+    trusted[:, trusted_sl.stop - 1] = False
+    if prob.mesh.domain.kind == "interval":
+        trusted[:, trusted_sl.start] = False
+    eps_final = float(eps_values[-1])
+    return SpaceTimeField(mesh=prob.mesh, times=times, values=values, meta={
         "kind": "maximal",
-        "eps_ladder": used,
-        "eps_final": used[-1][0],
-        "trusted_region": regions[0] if len(regions) == 2 else regions[-1],
-    }
-    return SpaceTimeField(mesh=prob.mesh, times=times, values=embeds[-1], meta=meta)
+        "eps_ladder": [(eps_final, meta["cap_rungs"])],
+        "eps_final": eps_final,
+        "trusted_region": trusted,
+    })
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,15 @@ def test_all_violations_collected(tmp_path):
     assert any("widget" in s for s in v)
 
 
+def test_cap_rtol_is_an_unknown_key(tmp_path):
+    # the collar ladder has no stop rule, so no tolerance sets one
+    p = tmp_path / "rtol.cfg"
+    p.write_text(MINIMAL.replace("[solver]", "[solver]\ncap_rtol = 1e-6"))
+    with pytest.raises(ConfigError) as err:
+        load_config(p)
+    assert err.value.violations == ["unknown key 'cap_rtol' in [solver]"]
+
+
 def test_t_star_window_gate(tmp_path):
     p = tmp_path / "win.cfg"
     p.write_text(MINIMAL.replace("t_star = 0.2", "t_star = 0.49"))

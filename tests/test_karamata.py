@@ -142,6 +142,15 @@ def test_tail_time_outside_the_table_is_the_quadrature(monkeypatch):
         monkeypatch.undo()
 
 
+def test_tail_time_above_where_the_primitive_overflows():
+    # for power_log(3) F overflows near 2**255; far enough up, the tail
+    # integral's substitution asks for F there, where its integrand is 0
+    prof = BlowupProfile(power_log(3), 3.0)
+    t = np.array([prof.tail_time(2.0 ** k) for k in range(175, 191)])
+    assert np.all(np.isfinite(t)) and np.all(t > 0.0)
+    assert np.all(np.diff(t) < 0.0)
+
+
 def test_profile_inverse_and_round_trip():
     nl = power(2)
     assert profile_inverse(nl, 2.0, 6.0) == pytest.approx(1.0, rel=1e-10)

@@ -72,6 +72,18 @@ def test_primitive_outside_the_table_is_the_quadrature(monkeypatch):
     assert calls == [u for _, u in cases]
 
 
+def test_primitive_is_inf_where_it_overflows(monkeypatch):
+    # for power_log(3) the table's last finite node is 2**254; F overflows
+    # inside [2**254, 2**255), and from 2**255 up it is inf without quadrature
+    nl = power_log(3)
+    assert np.isfinite(primitive(nl, 2.0 ** 254))
+    assert primitive(nl, 1.99 * 2.0 ** 254) == np.inf
+    monkeypatch.setattr(nonlinearity, "integral_on_interval", None)
+    assert primitive(nl, 2.0 ** 255) == np.inf
+    got = primitive(nl, np.array([2.0 ** 255, 2.0 ** 600, 1.0]))
+    assert np.array_equal(got, [np.inf, np.inf, primitive(nl, 1.0)])
+
+
 def test_primitive_inside_the_table_runs_no_quadrature(monkeypatch):
     nl = power_log(2)
     primitive(nl, 1.0)  # builds the table

@@ -331,6 +331,56 @@ def test_minimal_solution_is_the_capped_solution_at_its_final_cap(monkeypatch):
     assert all(rungs == 1 for _, rungs in mx.meta["eps_ladder"])
 
 
+def _counting_marches(monkeypatch):
+    calls = []
+    march = pb._march
+
+    def counting(prob, mesh, times, cap):
+        calls.append(mesh.nodes.size)
+        return march(prob, mesh, times, cap)
+
+    monkeypatch.setattr(pb, "_march", counting)
+    return calls
+
+
+COLLAR_LADDERS = [[0.08, 0.04], [0.08, 0.04, 0.02], [0.08, 0.04, 0.02, 0.01]]
+
+
+def _collar_problem():
+    return unit_problem(build_graded_mesh(interval(0.0, 1.0), 80, 2.0)), build_time_grid(0.2, 40, 2.0)
+
+
+@pytest.mark.parametrize("ladder", COLLAR_LADDERS, ids=lambda ladder: f"{len(ladder)}-collars")
+def test_maximal_solution_marches_only_its_last_collar(monkeypatch, ladder):
+    prob, times = _collar_problem()
+    calls = _counting_marches(monkeypatch)
+    mx = maximal_solution(prob, times, ladder)
+    assert len(calls) == 1
+    assert mx.meta["eps_ladder"] == [(ladder[-1], 1)] and mx.meta["eps_final"] == ladder[-1]
+
+
+@pytest.mark.parametrize("ladder", COLLAR_LADDERS, ids=lambda ladder: f"{len(ladder)}-collars")
+def test_earlier_collars_set_only_the_trusted_region(ladder):
+    prob, times = _collar_problem()
+    mx = maximal_solution(prob, times, ladder)
+    last = maximal_solution(prob, times, ladder[-1:])
+    assert np.array_equal(mx.values, last.values, equal_nan=True)
+    # the previous collar's region, less its first time level and end nodes
+    sl = pb._shrunken_slice(prob.mesh, ladder[-2])
+    j0 = int(np.searchsorted(times, ladder[-2], side="left"))
+    trusted = np.zeros(mx.values.shape, dtype=bool)
+    trusted[j0 + 1:, sl.start + 1:sl.stop - 1] = True
+    assert np.array_equal(mx.meta["trusted_region"], trusted)
+
+
+def test_too_wide_first_collar_fails_before_any_march(monkeypatch):
+    prob = unit_problem(build_graded_mesh(interval(0.0, 1.0), 8, 2.0))
+    calls = _counting_marches(monkeypatch)
+    with pytest.raises(DomainError, match="collar eps = 0.3"):
+        maximal_solution(prob, build_time_grid(0.2, 40, 2.0), [0.3, 0.01])
+    assert calls == []
+
+
 def _ladder_mesh():
     return build_graded_mesh(interval(0.0, 1.0), 60, 2.0)
 
