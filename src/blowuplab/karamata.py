@@ -108,14 +108,24 @@ def make_kernel(key: str, support: float = float("inf")) -> WeightKernel:
     return power_kernel(float(m.group(3)), support)
 
 
-def kernel_primitive(kernel: WeightKernel, s: float) -> float:
-    """K(s), the primitive of the kernel from 0; strictly increasing."""
-    if not 0.0 < s < kernel.support:
-        raise DomainError(f"primitive argument must lie in (0, {kernel.support:g}), got {s:g}")
+def kernel_primitive(kernel: WeightKernel, s):
+    """K(s), the primitive of the kernel from 0; strictly increasing.
+
+    A float for a scalar s, else an array: the closed form in one vectorized
+    call when the kernel declares one, otherwise one quadrature per element.
+    """
+    arr = np.asarray(s, dtype=float)
+    outside = ~((arr > 0.0) & (arr < kernel.support))
+    if outside.any():
+        raise DomainError(f"primitive argument must lie in (0, {kernel.support:g}), "
+                          f"got {arr[outside][0]:g}")
     if kernel.primitive_closed is not None:
-        return float(kernel.primitive_closed(s))
-    # kernels are integrable near 0 but may be singular there; split off a power tail
-    return integral_on_interval(kernel.func, 0.0, s)
+        out = np.asarray(kernel.primitive_closed(arr), dtype=float)
+    else:
+        # kernels are integrable near 0 but may be singular there; split off a power tail
+        out = np.array([integral_on_interval(kernel.func, 0.0, float(v)) for v in arr.flat])
+        out = out.reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
 
 
 def kernel_primitive_inverse(kernel: WeightKernel, y: float) -> float:
@@ -309,8 +319,9 @@ def profile_decay_ratio(
     if np.any(np.diff(s) >= 0.0):
         raise DomainError("s_values must decrease toward 0")
     prof = _profile(nl, p)
+    K = kernel_primitive(kernel, s)
     ratios = np.array(
-        [prof.value(kernel_primitive(kernel, sv)) ** (-exponent) / float(kernel.func(sv)) ** p for sv in s]
+        [prof.value(Kv) ** (-exponent) / float(kernel.func(sv)) ** p for Kv, sv in zip(K, s)]
     )
     return DecayEvidence(
         s_values=s,
@@ -347,7 +358,7 @@ def cap_ceiling(
     d_domain = np.atleast_1d(np.asarray(d_domain, dtype=float))
     d_mesh = np.atleast_1d(np.asarray(d_mesh, dtype=float))
     amp = np.broadcast_to(np.atleast_1d(np.asarray(amplitude, dtype=float)), d_domain.shape)
-    K = np.array([kernel_primitive(kernel, float(v)) for v in d_domain])
+    K = kernel_primitive(kernel, d_domain)
     local = amp ** (1.0 / p) * np.asarray(kernel.func(d_domain), dtype=float) * d_mesh
     arg = np.minimum(K, np.maximum(local, 1e-300))
     # phi is decreasing, so its largest nodal value is phi at the smallest argument

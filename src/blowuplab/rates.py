@@ -86,7 +86,7 @@ def profile_of_distance(nl: Nonlinearity, p: float, kernel: WeightKernel, d) -> 
 
 @lru_cache(maxsize=8)
 def _profile_of_distance(nl: Nonlinearity, p: float, kernel: WeightKernel, d: bytes):
-    K = np.array([kernel_primitive(kernel, float(v)) for v in np.frombuffer(d)])
+    K = kernel_primitive(kernel, np.frombuffer(d))
     prof = np.asarray(profile_value(nl, p, K))
     prof.flags.writeable = False
     return prof

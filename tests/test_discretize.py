@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.linalg import solve_banded
 
+from blowuplab import discretize
 from blowuplab.discretize import (
     MAX_BACKTRACK,
     MAX_NEWTON,
@@ -238,3 +240,38 @@ def test_singular_newton_system_is_a_solver_error():
     zero = lambda u: 0.0 * u  # noqa: E731
     with pytest.raises(SolverError, match="^linear solve failed: singular matrix"):
         newton_solve(disc, u0, weight=np.ones_like(u0), f=zero, fp=zero)
+
+
+def _first_pivot(lower, diag, upper):
+    """The first column where ``gtsv`` swaps rows, or None: the elimination
+    without swaps runs until a sub-diagonal entry outweighs its pivot."""
+    d = diag.copy()
+    for k in range(lower.size):
+        if abs(d[k]) < abs(lower[k]):
+            return k
+        d[k + 1] -= lower[k] / d[k] * upper[k]
+    return None
+
+
+def test_solve_banded_matches_scipy_bit_for_bit_when_gtsv_pivots():
+    # on a graded mesh the Jacobian is not symmetric: past the middle each
+    # dual cell is smaller than the one before, and the sub-diagonal outweighs
+    # the pivot there
+    mesh = build_graded_mesh(interval(0.0, 1.0), 60, 2.0)
+    disc = Discretization.build(mesh, 2.0, dirichlet_idx=[])
+    x = mesh.nodes
+    lower, diag, upper = disc._jacobian_banded(x, weight=np.ones_like(x),
+                                               fp=lambda u: np.full_like(u, 1e-3),
+                                               dirichlet=False)
+    assert _first_pivot(lower, diag, upper) is not None
+    rhs = np.cos(7.0 * x)
+    ab = np.zeros((3, x.size))
+    ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+    expected = solve_banded((1, 1), ab, rhs)
+    got = discretize.solve_banded(lower, diag, upper, rhs)
+    assert np.array_equal(got, expected)
+
+
+def test_gtsv_falls_back_to_scipy_linalg_without_the_extension_file(tmp_path):
+    # an editable or meson build keeps no _flapack file beside the package
+    assert discretize._load_dgtsv(tmp_path) is scipy.linalg.lapack.dgtsv

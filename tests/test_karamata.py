@@ -6,6 +6,7 @@ import pytest
 from blowuplab import karamata
 from blowuplab.errors import ConfigError, DomainError
 from blowuplab.extrapolation import log_slope_limit
+from blowuplab.geometry import build_graded_mesh, interval
 from blowuplab.karamata import (
     BlowupProfile,
     WeightKernel,
@@ -45,6 +46,30 @@ def test_kernel_primitive_respects_finite_support():
         kernel_primitive(k, 2.5)
     with pytest.raises(DomainError):
         kernel_primitive(k, 0.0)
+    # an array is checked at once, and the error names its first offending value
+    with pytest.raises(DomainError, match=r"got 2\.5$"):
+        kernel_primitive(k, np.array([0.5, 2.5, 0.0, np.nan]))
+    with pytest.raises(DomainError, match=r"got nan$"):
+        kernel_primitive(k, np.array([0.5, np.nan]))
+
+
+def _quadrature_kernel():
+    k = power_kernel(0.5)
+    return WeightKernel(name="quad-path", func=k.func, monotonicity=k.monotonicity,
+                        limit=k.limit, support=k.support)
+
+
+@pytest.mark.parametrize("kernel", [const_kernel(), power_kernel(1.0), power_kernel(-0.5),
+                                    power_kernel(0.7), _quadrature_kernel()],
+                         ids=lambda k: k.name)
+def test_kernel_primitive_of_an_array_is_the_scalar_loop_bit_for_bit(kernel):
+    # distances to the boundary of a graded mesh, as the cap ceiling reads them
+    x = build_graded_mesh(interval(0.0, 1.0), 41, 2.0).nodes[1:-1]
+    d = np.minimum(x, 1.0 - x).reshape(2, -1)
+    K = kernel_primitive(kernel, d)
+    assert isinstance(K, np.ndarray) and K.shape == d.shape
+    assert np.array_equal(K, [[kernel_primitive(kernel, float(v)) for v in row] for row in d])
+    assert isinstance(kernel_primitive(kernel, 0.25), float)
 
 
 def test_kernel_primitive_inverse_round_trip():
