@@ -19,65 +19,31 @@ solved by LAPACK ``gtsv`` called directly, without scipy's validation layer
 one upper band, so iterates are the same to the bit); the solver checks the
 system itself and reports a non-finite one as a ``SolverError``.
 
-``gtsv`` is taken from scipy's compiled ``_flapack`` extension, loaded from
-the file beside scipy's ``linalg`` package and registered as
-``scipy.linalg._flapack``.  Importing ``scipy.linalg`` instead would run its
-package init, which clones numpy's namespace (pulling in ``numpy.f2py``,
-``numpy.testing``, ``numpy.random`` and ``numpy.ma``) and, with scipy 1.17 on
-a 2-core x86-64 machine, costs about 0.3 s and 20 MB per run; the extension
-alone loads in a few milliseconds.  A later ``import scipy.linalg`` reuses
-the registered module, and an extension already loaded is used as it is.
-Where the file is not beside the package (an editable or meson build),
-``gtsv`` comes from ``scipy.linalg.lapack``.
+``gtsv`` is taken from scipy's compiled ``_flapack`` extension, loaded by
+``scipyext.load_extension`` without ``scipy.linalg``'s package init, which
+clones numpy's namespace (pulling in ``numpy.f2py``, ``numpy.testing``,
+``numpy.random`` and ``numpy.ma``) and, with scipy 1.17 on a 2-core x86-64
+machine, costs about 0.3 s and 20 MB per run.  A later ``import scipy.linalg``
+reuses that module; a build without the extension file (editable or meson)
+imports it through ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
-from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .errors import SolverError
 from .geometry import Mesh
+from .scipyext import load_extension
 
 logger = logging.getLogger(__name__)
 
-
-def _load_dgtsv(linalg_dir: Path):
-    """LAPACK ``dgtsv`` from the ``_flapack`` extension in ``linalg_dir``.
-
-    The module is registered as ``scipy.linalg._flapack`` (or the one
-    already registered under that name is used), so ``scipy.linalg.lapack``
-    shares it; without the file, ``dgtsv`` comes from ``scipy.linalg.lapack``.
-    """
-    name = "scipy.linalg._flapack"
-    spec = FileFinder(str(linalg_dir),
-                      (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
-    if spec is None:
-        from scipy.linalg.lapack import dgtsv
-
-        return dgtsv
-    module = sys.modules.get(name)
-    if module is None:
-        module = module_from_spec(spec)
-        sys.modules[name] = module
-        try:
-            spec.loader.exec_module(module)
-        except BaseException:
-            del sys.modules[name]  # as the import system does
-            raise
-    return module.dgtsv
-
-
-dgtsv = _load_dgtsv(Path(scipy.__file__).parent / "linalg")
+dgtsv = load_extension("scipy.linalg._flapack").dgtsv
 
 NEWTON_RTOL = 1e-10
 MAX_NEWTON = 200

@@ -32,3 +32,9 @@ class ConfigError(ValueError):
     def __init__(self, message: str, violations: list[str] | None = None):
         super().__init__(message)
         self.violations = violations or [message]
+
+
+class QuadratureWarning(UserWarning):
+    """Adaptive quadrature stopped short of its tolerance; the value returned
+    is QUADPACK's best estimate (where scipy's ``quad`` warns with
+    ``IntegrationWarning``)."""

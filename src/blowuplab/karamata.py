@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, NumericsError
 from .extrapolation import LadderLimit, aitken_limit, geometric_ladder
 from .nonlinearity import TABLE_KMIN, Nonlinearity, blowup_order, primitive, primitive_table_top
-from .quadutil import TailTable, integral_on_interval, invert_decreasing, upper_tail_integral
+from .quadutil import TailTable, brentq, integral_on_interval, invert_decreasing, upper_tail_integral
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,6 @@ def kernel_primitive_inverse(kernel: WeightKernel, y: float) -> float:
         if not 0.0 < s < kernel.support:
             raise DomainError(f"primitive inverse lands outside (0, mu): {s:g}")
         return s
-    from scipy.optimize import brentq
-
     top = kernel.support * (1.0 - 1e-12)
     if not 0.0 < y < kernel_primitive(kernel, top):
         raise DomainError(f"value {y:g} outside the range of the kernel primitive")

@@ -2,20 +2,73 @@
 the Gauss-Legendre rule of tabulated primitives, dyadic tables of tail
 integrals, and the inversion of the decreasing functions they define.
 
-scipy's ``quad`` and ``brentq`` are imported inside the functions that call
-them, so they load on first use: importing ``scipy.integrate`` and
-``scipy.optimize`` costs about 0.3 s, and a pure-power run, whose profile,
-blow-down curve and tail check are closed forms, never calls either.
+Adaptive quadrature and root finding call scipy's compiled QUADPACK
+``qagse`` (``scipy.integrate._quadpack``) and Brent's method
+(``scipy.optimize._zeros``) through ``quad`` and ``brentq`` below, which do
+what scipy's functions of those names do for the arguments used here.  Each
+extension is loaded by ``scipyext.load_extension`` on first use, so a
+pure-power run, whose profile, blow-down curve and tail check are closed
+forms, loads neither, and no run pays the package inits of
+``scipy.integrate``, ``scipy.optimize``, ``scipy.special`` and
+``scipy.linalg`` that ``from scipy.integrate import quad`` would run.  Where
+QUADPACK stops short of its tolerance, ``quad`` warns with
+``errors.QuadratureWarning``.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, QuadratureWarning
+from .scipyext import load_extension
+
+QUAD_LIMIT = 200  # subintervals of an adaptive quadrature
+QUAD_WARN_IER = (1, 2, 3, 4, 5, 7)  # QUADPACK codes on which scipy's quad warns
+BRENT_XTOL, BRENT_MAXITER = 2e-12, 100  # scipy's brentq defaults
+
+
+def quad(func, a: float, b: float, *, epsrel: float) -> tuple[float, float]:
+    """``int_a^b func`` and its error estimate, for finite a and b.
+
+    QUADPACK's ``qagse`` with epsabs = 0 and ``QUAD_LIMIT`` subintervals, as
+    scipy's ``quad`` calls it: 0 for a == b, the sign flipped for b < a, a
+    ``QuadratureWarning`` where scipy warns (the estimate is still returned)
+    and a DomainError (a ValueError, as scipy raises) on any other failure
+    code, such as ier 6 for an epsrel below 50 machine epsilons.
+    """
+    if a == b:
+        return 0.0, 0.0
+    flip, a, b = b < a, min(a, b), max(a, b)
+    qagse = load_extension("scipy.integrate._quadpack")._qagse
+    val, err, ier = qagse(func, a, b, (), 0, 0.0, epsrel, QUAD_LIMIT)
+    if ier in QUAD_WARN_IER:
+        warnings.warn(f"adaptive quadrature stopped short of epsrel = {epsrel:g} "
+                      f"(QUADPACK ier = {ier})", QuadratureWarning, stacklevel=2)
+    elif ier != 0:
+        raise DomainError(f"QUADPACK rejected the quadrature (ier = {ier}, epsrel = {epsrel:g})")
+    return (-val if flip else val), err
+
+
+def brentq(func, a: float, b: float, *, rtol: float) -> float:
+    """The root of ``func`` in [a, b], where its values at a and b differ in sign.
+
+    Brent's method as scipy's ``brentq`` runs it, with xtol, maxiter
+    (``BRENT_XTOL``, ``BRENT_MAXITER``) and disp=True: a ValueError for a
+    bracket without a sign change or a NaN value of ``func``, a RuntimeError
+    when it does not converge.
+    """
+    def checked(x: float) -> float:
+        fx = func(x)
+        if math.isnan(fx):  # as scipy's _wrap_nan_raise
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return fx
+
+    brent = load_extension("scipy.optimize._zeros")._brentq
+    return brent(checked, a, b, BRENT_XTOL, rtol, BRENT_MAXITER, (), 0, True)
 
 
 def upper_tail_integral(func, lower: float, decay: float, *, epsrel: float = 1e-11) -> float:
@@ -26,8 +79,6 @@ def upper_tail_integral(func, lower: float, decay: float, *, epsrel: float = 1e-
     integrand into a smooth function on (0, 1] (exactly linear for a pure
     power law), so adaptive quadrature converges to near machine accuracy.
     """
-    from scipy.integrate import quad
-
     if lower <= 0.0:
         raise DomainError(f"lower limit must be positive, got {lower:g}")
     if decay <= 1.0:
@@ -42,7 +93,7 @@ def upper_tail_integral(func, lower: float, decay: float, *, epsrel: float = 1e-
             v = func(s) * m * s / x
         return v if np.isfinite(v) else 0.0
 
-    val, err = quad(transformed, 0.0, 1.0, epsabs=0.0, epsrel=epsrel, limit=200)
+    val, err = quad(transformed, 0.0, 1.0, epsrel=epsrel)
     if not np.isfinite(val):
         raise NumericsError(f"tail integral from {lower:g} did not converge")
     if err > max(1e3 * epsrel * abs(val), 1e-290):
@@ -54,9 +105,7 @@ def upper_tail_integral(func, lower: float, decay: float, *, epsrel: float = 1e-
 
 def integral_on_interval(func, a: float, b: float, *, epsrel: float = 1e-11) -> float:
     """Plain adaptive quadrature on [a, b] with a finiteness check."""
-    from scipy.integrate import quad
-
-    val, _ = quad(func, a, b, epsabs=0.0, epsrel=epsrel, limit=200)
+    val, _ = quad(func, a, b, epsrel=epsrel)
     if not np.isfinite(val):
         raise NumericsError(f"integral over [{a:g}, {b:g}] did not converge")
     return float(val)
@@ -177,7 +226,5 @@ def invert_decreasing(func, t: float) -> float:
         return a
     if abs(fb - t) <= 1e-13 * t:
         return b
-    from scipy.optimize import brentq
-
     lo, hi = sorted((a, b))
     return math.exp(brentq(lambda L: func(math.exp(L)) - t, math.log(lo), math.log(hi), rtol=1e-14))

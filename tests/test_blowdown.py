@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -167,12 +167,16 @@ def test_ode_residual():
 
 @settings(max_examples=30, deadline=None)
 @given(t1=st.floats(1e-3, 1.0), t2=st.floats(1e-3, 1.0))
+@example(t1=1.0, t2=math.nextafter(1.0, 0.0))  # both values round to 1.0
 def test_monotone_decreasing(t1, t2):
+    # the curve is 1/t: for t's a few ulps apart its values can round to the
+    # same float, so the decrease is strict only past a relative gap of 2**-40
     curve = BlowdownCurve(power(2))
-    if t1 < t2:
-        assert curve.value(t1) > curve.value(t2)
-    elif t2 < t1:
-        assert curve.value(t2) > curve.value(t1)
+    t1, t2 = sorted((t1, t2))
+    w1, w2 = curve.value(t1), curve.value(t2)
+    assert w1 >= w2
+    if t2 >= t1 * (1.0 + 2.0 ** -40):
+        assert w1 > w2
 
 
 def test_pointwise_comparison():

@@ -14,6 +14,7 @@ from blowuplab.discretize import (
 from blowuplab.errors import SolverError
 from blowuplab.geometry import ball, build_graded_mesh, interval
 from blowuplab.nonlinearity import power
+from blowuplab.scipyext import load_extension
 
 
 def test_newton_evaluates_one_residual_per_iteration(monkeypatch):
@@ -274,4 +275,4 @@ def test_solve_banded_matches_scipy_bit_for_bit_when_gtsv_pivots():
 
 def test_gtsv_falls_back_to_scipy_linalg_without_the_extension_file(tmp_path):
     # an editable or meson build keeps no _flapack file beside the package
-    assert discretize._load_dgtsv(tmp_path) is scipy.linalg.lapack.dgtsv
+    assert load_extension("scipy.linalg._flapack", tmp_path).dgtsv is scipy.linalg.lapack.dgtsv
