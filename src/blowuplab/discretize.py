@@ -13,11 +13,21 @@ Convergence is declared on the residual scaled per node by the magnitude of
 its own terms, since absolute residuals are meaningless across the many
 orders of magnitude a blow-up layer spans.
 
-Each Newton system is tridiagonal and is held as its three diagonals.  It is
-solved by LAPACK ``gtsv`` called directly, without scipy's validation layer
-(the routine ``scipy.linalg.solve_banded`` dispatches to for one lower and
-one upper band, so iterates are the same to the bit); the solver checks the
-system itself and reports a non-finite one as a ``SolverError``.
+Each Newton system is tridiagonal and is held as its three diagonals.  For
+p = 2 the face conductances do not depend on u, so a ``Discretization``
+computes the off-diagonals and the conductance part of the diagonal once and
+keeps them read-only, one set with the Dirichlet rows' zero off-diagonals and
+one without; each Newton iteration copies the off-diagonals and adds the
+absorption and mass terms to the diagonal.  The residual and the Jacobian
+are assembled with few numpy temporaries, but with the floating-point
+operations, and their order, of the plain formulas, so iterates do not
+change in any bit.
+
+A Newton system is solved by LAPACK ``gtsv`` called directly, without
+scipy's validation layer (the routine ``scipy.linalg.solve_banded``
+dispatches to for one lower and one upper band, so iterates are the same to
+the bit); the solver checks the system itself and reports a non-finite one
+as a ``SolverError``.
 
 ``gtsv`` is taken from scipy's compiled ``_flapack`` extension, loaded by
 ``scipyext.load_extension`` without ``scipy.linalg``'s package init, which
@@ -85,33 +95,50 @@ class Discretization:
                    volumes=vol, dirichlet_idx=dirichlet_idx)
 
     @cached_property
-    def _dirichlet_bands(self) -> tuple[np.ndarray, np.ndarray]:
-        # off-diagonal entries of the Dirichlet rows: lower[i-1] and upper[i]
-        idx, n = self.dirichlet_idx, self.mesh.nodes.size
-        return idx[idx > 0] - 1, idx[idx < n - 1]
+    def _dirichlet_nodes(self) -> tuple[int, ...]:
+        # at most the two ends: indexing them one by one beats fancy indexing
+        return tuple(self.dirichlet_idx.tolist())
 
     @cached_property
-    def _linear_conductances(self) -> tuple[np.ndarray, np.ndarray]:
-        # p = 2: the face conductances over the volumes below and above each
-        # face do not depend on u
+    def _linear_bands(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        # p = 2: the u-independent (lower, conductance diag, upper), read-only,
+        # indexed by the Dirichlet flag
         c = self.m_face / self.h_face
         c_lo, c_up = c / self.volumes[1:], c / self.volumes[:-1]
-        for a in (c_lo, c_up):
-            a.setflags(write=False)
-        return c_lo, c_up
+        bands = tuple(self._conductance_bands(c_lo, c_up, dirichlet)
+                      for dirichlet in (False, True))
+        for band in bands:
+            for a in band:
+                a.setflags(write=False)
+        return bands
+
+    def _conductance_bands(self, c_lo, c_up, dirichlet: bool):
+        """The off-diagonals and the conductance part of the diagonal for the
+        face conductances over the volumes below (c_lo) and above (c_up) each
+        face, as fresh (lower, diag, upper); Dirichlet rows get zero off-diagonals."""
+        diag = np.empty(self.volumes.size)
+        diag[:-1] = c_up
+        diag[-1] = 0.0
+        diag[1:] += c_lo
+        lower, upper = np.negative(c_lo), np.negative(c_up)
+        if dirichlet:
+            # row i owns lower[i-1] and upper[i]
+            for i in self._dirichlet_nodes:
+                if i > 0:
+                    lower[i - 1] = 0.0
+                if i < upper.size:
+                    upper[i] = 0.0
+        return lower, diag, upper
 
     def _gradient(self, u: np.ndarray, eps: float):
         """Face gradients du and, for p != 2, the regularized du**2 + eps**2."""
-        du = (u[1:] - u[:-1]) / self.h_face
+        du = u[1:] - u[:-1]
+        du /= self.h_face
         if self.p == 2.0:
             return du, None
-        return du, du * du + eps * eps
-
-    def _flux(self, u: np.ndarray, eps: float) -> np.ndarray:
-        du, w = self._gradient(u, eps)
-        if w is None:
-            return du
-        return w ** ((self.p - 2.0) / 2.0) * du
+        w = du * du
+        w += eps * eps
+        return du, w
 
     def residual(self, u, *, weight, f, fp, source=None, mass_coef=0.0, u_prev=None,
                  dirichlet_val=None, eps: float | None = None):
@@ -121,59 +148,75 @@ class Discretization:
         scale bounds the magnitude of the row's individual terms.
         """
         eps = self.eps_reg if eps is None else eps
-        flux = self.m_face * self._flux(u, eps)
+        flux, w = self._gradient(u, eps)
+        if w is not None:
+            w **= (self.p - 2.0) / 2.0
+            flux *= w
+        if self.mesh.domain.metric_power:  # the face weights are all ones on an interval
+            flux *= self.m_face
         vol = self.volumes
-        div = np.empty_like(u)
-        div[1:-1] = (flux[1:] - flux[:-1]) / vol[1:-1]
-        div[0] = flux[0] / vol[0]
-        div[-1] = -flux[-1] / vol[-1]
-        absorb = weight * f(u)
-        R = -div + absorb
+        # R holds div flux until the absorption is in
+        R = np.empty_like(u)
+        np.subtract(flux[1:], flux[:-1], out=R[1:-1])
+        R[1:-1] /= vol[1:-1]
+        R[0] = flux[0] / vol[0]
+        R[-1] = -flux[-1] / vol[-1]
         # scale by pre-cancellation term magnitudes: the flux difference loses
         # digits in the boundary layer and would otherwise set a false floor
-        div_mag = np.abs(div)
-        div_mag[1:-1] = (np.abs(flux[1:]) + np.abs(flux[:-1])) / vol[1:-1]
-        scale = div_mag + np.abs(absorb)
+        scale = np.abs(R)
+        np.abs(flux, out=flux)
+        np.add(flux[1:], flux[:-1], out=scale[1:-1])
+        scale[1:-1] /= vol[1:-1]
+        absorb = weight * f(u)
+        np.subtract(absorb, R, out=R)
+        scale += np.abs(absorb, out=absorb)
         if mass_coef:
-            dmass = mass_coef * (u - u_prev)
-            R += dmass
-            scale += mass_coef * (np.abs(u) + np.abs(u_prev))
+            t = u - u_prev
+            t *= mass_coef
+            R += t
+            np.abs(u, out=t)
+            t += np.abs(u_prev)
+            t *= mass_coef
+            scale += t
         if source is not None:
             R -= source
             scale += np.abs(source)
         if dirichlet_val is not None:
-            idx = self.dirichlet_idx
-            dv = dirichlet_val[idx] if isinstance(dirichlet_val, np.ndarray) else dirichlet_val
-            R[idx] = u[idx] - dv
-            scale[idx] = np.abs(dv) + np.abs(u[idx])
+            values = isinstance(dirichlet_val, np.ndarray)
+            for i in self._dirichlet_nodes:
+                dv = dirichlet_val[i] if values else dirichlet_val
+                R[i] = u[i] - dv
+                scale[i] = abs(dv) + abs(u[i])
         return R, scale
 
     def _jacobian_banded(self, u, *, weight, fp, mass_coef=0.0, dirichlet: bool,
                          eps: float | None = None):
         """The residual's Jacobian as its (lower, diag, upper) diagonals, each a
         fresh array (the equilibration and ``gtsv`` overwrite them)."""
-        eps = self.eps_reg if eps is None else eps
         if self.p == 2.0:
-            c_lo, c_up = self._linear_conductances
+            lower, diag, upper = self._linear_bands[dirichlet]
+            lower, upper = lower.copy(), upper.copy()
         else:
-            du, w = self._gradient(u, eps)
-            dq = w ** ((self.p - 4.0) / 2.0) * ((self.p - 1.0) * du * du + eps * eps)
-            c = self.m_face * dq / self.h_face  # face conductances
-            c_lo = c / self.volumes[1:]
-            c_up = c / self.volumes[:-1]
-        diag = np.empty(u.size)
-        diag[:-1] = c_up
-        diag[-1] = 0.0
-        diag[1:] += c_lo
-        diag += weight * fp(u) + mass_coef
-        lower = -c_lo
-        upper = -c_up
+            eps = self.eps_reg if eps is None else eps
+            du, c = self._gradient(u, eps)
+            # face conductances m * w**((p-4)/2) * ((p-1) du**2 + eps**2) / h
+            c **= (self.p - 4.0) / 2.0
+            t = (self.p - 1.0) * du
+            t *= du
+            t += eps * eps
+            c *= t
+            if self.mesh.domain.metric_power:
+                c *= self.m_face
+            c /= self.h_face
+            lower, diag, upper = self._conductance_bands(
+                c / self.volumes[1:], c / self.volumes[:-1], dirichlet)
+        t = weight * fp(u)
+        t += mass_coef
+        t += diag
         if dirichlet:
-            lo, up = self._dirichlet_bands
-            diag[self.dirichlet_idx] = 1.0
-            lower[lo] = 0.0
-            upper[up] = 0.0
-        return lower, diag, upper
+            for i in self._dirichlet_nodes:
+                t[i] = 1.0
+        return lower, t, upper
 
 
 def solve_banded(lower, diag, upper, rhs) -> np.ndarray:
@@ -223,9 +266,9 @@ def newton_solve(disc: Discretization, u0, *, weight, f, fp, source=None,
     return u, info
 
 
-def _newton_single(disc, u0, *, weight, f, fp, source, mass_coef, u_prev,
+def _newton_single(disc, u, *, weight, f, fp, source, mass_coef, u_prev,
                    dirichlet_val, rtol, max_iter, eps, info) -> np.ndarray:
-    u = np.array(u0, dtype=float)
+    # u is never written in place: each accepted iterate is a new array
     dirichlet = dirichlet_val is not None
     merit_hist = []
     # residual is a pure function of u and the frozen arguments, so the
@@ -237,14 +280,14 @@ def _newton_single(disc, u0, *, weight, f, fp, source, mass_coef, u_prev,
         # the scaling weights are frozen per iteration: re-scaling inside the
         # line search would hide genuine residual decrease
         wts = 1.0 / (1.0 + scale)
-        merit = float((np.abs(R) * wts).max())
+        scaled = R * wts
+        merit = float(np.abs(scaled).max())  # |R| * wts, as wts > 0
         merit_hist.append(merit)
         if merit <= rtol:
             info["iterations"] += it
             return u
         # backtracking uses a smooth l2 merit (the Newton direction is always
         # a descent direction for it); convergence stays in the max norm
-        scaled = R * wts
         ls_merit = math.sqrt(scaled.dot(scaled))
         lower, diag, upper = disc._jacobian_banded(u, weight=weight, fp=fp,
                                                    mass_coef=mass_coef,
@@ -269,10 +312,10 @@ def _newton_single(disc, u0, *, weight, f, fp, source, mass_coef, u_prev,
         lam = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACK):
-            u_try = u + lam * delta
+            u_try = u + delta if lam == 1.0 else u + lam * delta
             if (u_try < 0.0).any():
                 info["projections"] += 1
-                u_try = np.maximum(u_try, 0.0)
+                np.maximum(u_try, 0.0, out=u_try)
             R_try, scale_try = disc.residual(u_try, weight=weight, f=f, fp=fp,
                                              source=source, mass_coef=mass_coef,
                                              u_prev=u_prev, dirichlet_val=dirichlet_val,

@@ -53,8 +53,13 @@ from .rates import (
     space_free_values,
     uniqueness_gap,
 )
+from .sciformat import format_e11_rows
 
 logger = logging.getLogger(__name__)
+
+# steps of trajectory.csv whose values are formatted together: enough to share
+# the numpy calls, few enough that the arrays of a chunk stay small
+_CSV_CHUNK_STEPS = 32
 
 KNOWN_CHECKS = ("conditions", "elliptic_rate", "boundary_rate", "initial_rate", "sandwich", "uniqueness")
 
@@ -432,20 +437,26 @@ def _write_trajectory_csv(path: Path, prob: ParabolicProblem, fld) -> None:
     # the frozen-coefficient curve of b0 * f at t is the curve of f at b0 * t,
     # which for b0 = 1 is the plain curve
     tau = xi if b0 == 1.0 else BlowdownCurve(prob.nl).value(b0 * t)
-    # t and the curves repeat across nodes, x, d and the profile across steps:
-    # format each once, into one template that takes every step's time prefix,
-    # values and curves ("%.11e" % v equals _fmt(v) for every float)
+    # x, d and the profile repeat across steps, t and the curves across nodes:
+    # each is formatted once, and str.join puts them around a step's values.
+    # format_e11_rows formats the values a chunk of steps at a time, and each
+    # chunk is written before the next is formatted.  It hands a value to
+    # Python's "%.11e" (what _fmt writes) only where its own digits are not
+    # proven exact: nan, inf, zeros, magnitudes outside [1e-11, 1e34), and
+    # values within 1e-3 of a rounding tie in the 12th digit
     n = mesh.nodes.size
-    tmpl = "".join([f"%s{_fmt(x)},{_fmt(dv)},%.11e%s,{_fmt(pv)}\n"
-                    for x, dv, pv in zip(mesh.nodes, d, prof)])
-    args = [None] * (3 * n)
+    parts = [None] * (5 * n)
+    parts[1::5] = [f"{_fmt(x)},{_fmt(dv)}," for x, dv in zip(mesh.nodes, d)]
+    parts[4::5] = [f",{_fmt(pv)}\n" for pv in prof]
     with open(path, "w") as fh:
         fh.write("t,x,d,value,curve_plain,curve_effective,curve_frozen,profile\n")
-        for k, j in enumerate(rows):
-            args[0::3] = [f"{_fmt(t[k])},"] * n
-            args[1::3] = fld.values[j].tolist()
-            args[2::3] = [f",{_fmt(xi[k])},{_fmt(xis[k])},{_fmt(tau[k])}"] * n
-            fh.write(tmpl % tuple(args))
+        for c in range(0, rows.size, _CSV_CHUNK_STEPS):
+            chunk = rows[c:c + _CSV_CHUNK_STEPS]
+            for k, values in zip(range(c, c + chunk.size), format_e11_rows(fld.values[chunk])):
+                parts[0::5] = [f"{_fmt(t[k])},"] * n
+                parts[2::5] = values
+                parts[3::5] = [f",{_fmt(xi[k])},{_fmt(xis[k])},{_fmt(tau[k])}"] * n
+                fh.write("".join(parts))
 
 
 def _write_rates_csv(path: Path, reports: list[RateReport]) -> None:

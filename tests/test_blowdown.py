@@ -179,6 +179,16 @@ def test_monotone_decreasing(t1, t2):
         assert w1 > w2
 
 
+@settings(max_examples=30, deadline=None)
+@given(t1=st.floats(1e-3, 1.0), k=st.integers(1, 8))
+def test_strictly_decreasing_between_close_times(t1, k):
+    # independent draws lie far apart, so a curve that is flat on short runs
+    # of t (one rounded to a few decimals, say) would pass the test above
+    curve = BlowdownCurve(power(2))
+    t2 = t1 * (1.0 + 2.0 ** -30 * k)
+    assert curve.value(t1) > curve.value(t2)
+
+
 def test_pointwise_comparison():
     # g1 >= g2 pointwise implies w1 <= w2; closed forms 1/(exp(t)-1) vs 1/t
     g1 = lambda w: w * w * (1.0 + 1.0 / w)

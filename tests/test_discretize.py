@@ -191,6 +191,21 @@ def _kernel_cases():
     yield "no-flux", Discretization.build(mesh, 2.0, dirichlet_idx=[]), u_prev, dict(
         weight=np.ones_like(x), f=nl2.func, fp=nl2.deriv, source=np.full(x.size, 2.0),
         mass_coef=1.0 / 0.05, u_prev=u_prev)
+    # p = 2 from a start that dips far below zero: the line search halves the
+    # step and projects negative iterates
+    mesh = build_graded_mesh(interval(0.0, 1.0), 40, 2.0)
+    x = mesh.nodes
+    u_prev = 10.0 * (1.0 + 4.0 * x * (1.0 - x))
+    yield "p2-far-start", Discretization.build(mesh, 2.0), 10.0 - 200.0 * np.sin(np.pi * x) ** 8, dict(
+        weight=np.ones_like(x), f=nl2.func, fp=nl2.deriv, mass_coef=1.0, u_prev=u_prev,
+        dirichlet_val=u_prev)
+    # one Discretization solved with Dirichlet data, then without: the p = 2
+    # Jacobian bands it keeps must not carry the Dirichlet rows into the second
+    disc = Discretization.build(mesh, 2.0)
+    kw = dict(weight=np.ones_like(x), f=nl2.func, fp=nl2.deriv, mass_coef=1.0 / 0.05,
+              u_prev=u_prev)
+    newton_solve(disc, u_prev, dirichlet_val=u_prev, **kw)
+    yield "p2-free-after-dirichlet", disc, u_prev, kw
 
 
 @pytest.mark.parametrize("case", list(_kernel_cases()), ids=lambda c: c[0])
@@ -218,6 +233,18 @@ def test_newton_matches_band_matrix_reference_bit_for_bit(case):
         assert np.array_equal(upper, ab[0, 1:])
         # the equilibration and gtsv overwrite the diagonals in place
         assert all(a.flags.writeable for a in (lower, diag, upper))
+
+
+def test_far_start_backtracks_and_projects(monkeypatch):
+    _, disc, u0, kw = next(c for c in _kernel_cases() if c[0] == "p2-far-start")
+    calls = []
+    real = Discretization.residual
+    monkeypatch.setattr(Discretization, "residual",
+                        lambda self, u, **k: calls.append(1) or real(self, u, **k))
+    _, info = newton_solve(disc, u0, **kw)
+    assert info["projections"] > 0
+    # one residual per iteration and one at the start, plus one per halving
+    assert len(calls) > info["iterations"] + 1
 
 
 def test_non_finite_newton_system_is_a_solver_error():

@@ -7,11 +7,12 @@ from blowuplab import blowdown, rates
 from blowuplab.blowdown import BlowdownCurve
 from blowuplab.elliptic import EllipticProblem, GridFunction
 from blowuplab.errors import DomainError
-from blowuplab.experiment import _fmt, _write_trajectory_csv
+from blowuplab.cli import SUITES
+from blowuplab.experiment import _build_problem, _fmt, _write_trajectory_csv
 from blowuplab.geometry import ball, build_graded_mesh, interval
 from blowuplab.karamata import const_kernel, constant_weight, power_kernel
 from blowuplab.nonlinearity import power, power_log
-from blowuplab.parabolic import ParabolicProblem, SpaceTimeField, build_time_grid
+from blowuplab.parabolic import ParabolicProblem, SpaceTimeField, build_time_grid, minimal_solution
 from blowuplab.rates import (
     _by_branch,
     _space_free_curves,
@@ -341,6 +342,46 @@ def test_trajectory_csv_matches_the_field_by_field_reference(tmp_path):
     # the boundary nodes carry a NaN profile; the zero value is written too
     assert new.count(b",nan\n") == 2 * (times.size - 1)
     assert b",0.00000000000e+00," in new
+
+
+def _template_trajectory_csv(path, prob, fld):
+    """The trajectory CSV written through one %-template per step, into which
+    the node pieces are formatted once and each value goes through "%.11e"."""
+    mesh = fld.mesh
+    d = mesh.boundary_distance()
+    inner = d > 0.0
+    prof = np.full(mesh.nodes.size, np.nan)
+    prof[inner] = profile_of_distance(prob.nl, prob.p, prob.weight.kernel, d[inner])
+    x0 = 0.5 * (mesh.domain.a + mesh.domain.b) if mesh.domain.kind == "interval" else 0.0
+    i0 = int(np.argmin(np.abs(mesh.nodes - x0)))
+    b0 = float(prob.weight.values(mesh.nodes[i0:i0 + 1], d[i0:i0 + 1], 0.0, prob.p)[0])
+    rows = np.nonzero(fld.times > 0.0)[0]
+    t = fld.times[rows]
+    xi, xis = space_free_values(prob, t)
+    tau = xi if b0 == 1.0 else BlowdownCurve(prob.nl).value(b0 * t)
+    n = mesh.nodes.size
+    tmpl = "".join([f"%s{_fmt(x)},{_fmt(dv)},%.11e%s,{_fmt(pv)}\n"
+                    for x, dv, pv in zip(mesh.nodes, d, prof)])
+    args = [None] * (3 * n)
+    with open(path, "w") as fh:
+        fh.write("t,x,d,value,curve_plain,curve_effective,curve_frozen,profile\n")
+        for k, j in enumerate(rows):
+            args[0::3] = [f"{_fmt(t[k])},"] * n
+            args[1::3] = fld.values[j].tolist()
+            args[2::3] = [f",{_fmt(xi[k])},{_fmt(xis[k])},{_fmt(tau[k])}"] * n
+            fh.write(tmpl % tuple(args))
+
+
+@pytest.mark.parametrize("suite", ["power", "ball2d"])
+def test_trajectory_csv_matches_the_template_writer_on_suite_fields(suite, tmp_path):
+    (cfg,) = SUITES[suite]
+    prob = _build_problem(cfg)[-1]
+    fld = minimal_solution(prob, build_time_grid(cfg.t_star, cfg.n_steps, cfg.time_grading),
+                           cap_base=cfg.cap_base, cap_factor=cfg.cap_factor,
+                           max_rungs=cfg.max_cap_rungs, margin=cfg.cap_margin)
+    _write_trajectory_csv(tmp_path / "new.csv", prob, fld)
+    _template_trajectory_csv(tmp_path / "ref.csv", prob, fld)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_trajectory_reuses_the_plain_curve_for_a_unit_frozen_weight(tmp_path, monkeypatch):
