@@ -12,8 +12,10 @@ from collections.abc import Iterator
 
 import numpy as np
 
-# 10**|k| for k = -22..22: every power of ten up to 1e22 is an exact double
-_POW10 = np.array([float(10 ** abs(k)) for k in range(-22, 23)])
+# 10**(11-e) for e = 33..-11 as a factor and a divisor, one of them 1: every
+# power of ten up to 1e22 is an exact double
+_MUL = np.array([float(10 ** max(k, 0)) for k in range(-22, 23)])
+_DIV = np.array([float(10 ** max(-k, 0)) for k in range(-22, 23)])
 
 
 def format_e11_rows(values: np.ndarray) -> Iterator[list[str]]:
@@ -41,11 +43,11 @@ def format_e11_rows(values: np.ndarray) -> Iterator[list[str]]:
         k = 11.0 - e
         ok = np.abs(k) <= 22.0
         k = np.where(ok, k, 0.0).astype(np.intp) + 22
-        s = np.where(k >= 22, a * _POW10[k], a / _POW10[k])
+        s = a * _MUL[k] / _DIV[k]
         m = np.rint(s)
         ok &= (np.abs(s - m) < 0.499) & (s >= 1e11) & (m < 1e12)
         mant = np.where(ok, m, 1e11).astype(np.int64)
-    expo = np.where(ok, e, 0.0).astype(np.int64)
+        e = np.where(ok, e, 0.0)
     # one row per character of "d.ddddddddddde+XX" and the separator
     ch = np.empty((18, v.size), np.uint8)
     for j in range(12, 1, -1):
@@ -54,10 +56,12 @@ def format_e11_rows(values: np.ndarray) -> Iterator[list[str]]:
     ch[0] = mant + ord("0")
     ch[1] = ord(".")
     ch[13] = ord("e")
-    ch[14] = np.where(expo < 0, ord("-"), ord("+"))
-    tens, ones = np.divmod(np.abs(expo), 10)
+    ch[14] = ord("+")
+    ch[14, e < 0.0] = ord("-")
+    e = np.abs(e)
+    tens = np.floor(e / 10.0)
     ch[15] = tens + ord("0")
-    ch[16] = ones + ord("0")
+    ch[16] = e - 10.0 * tens + ord("0")
     ch[17] = ord("\n")
     text = ch.T.tobytes()
     fixes: list[list[int]] = [[] for _ in range(rows)]
