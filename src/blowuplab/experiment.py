@@ -19,7 +19,6 @@ are deterministic: the same configuration yields byte-identical files.
 
 from __future__ import annotations
 
-import configparser
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -128,6 +127,8 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a configuration file; raise with every violation."""
+    import configparser  # only ``blowuplab run`` and ``validate`` read INI files
+
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = parser.read(path)
     if not read:

@@ -358,6 +358,21 @@ def _by_branch(prob: ParabolicProblem, plain, eff):
     return plain, eff
 
 
+def _envelope_ratio(fld: SpaceTimeField, grid, curve_vals: np.ndarray, prof: np.ndarray,
+                    reduce, initial: float) -> float | None:
+    """``reduce`` of u / (curve(t) + profile(d)) over the finite, trusted
+    nodes of ``fld`` on ``grid``; None when no node qualifies."""
+    ratio = fld.values[grid]
+    ok = np.isfinite(ratio)
+    trusted = fld.meta.get("trusted_region")
+    if trusted is not None:
+        ok &= trusted[grid]
+    if not ok.any():
+        return None
+    ratio /= curve_vals[:, None] + prof[None, :]
+    return float(reduce(ratio, where=ok, initial=initial))
+
+
 def sandwich_check(
     lower_fld: SpaceTimeField,
     upper_fld: SpaceTimeField,
@@ -379,23 +394,12 @@ def sandwich_check(
     prof = profile_of_distance(prob.nl, prob.p, prob.weight.kernel, d)
 
     up_vals, lo_vals = _by_branch(prob, *space_free_values(prob, times))
-    up_env = up_vals[:, None] + prof[None, :]
-    lo_env = lo_vals[:, None] + prof[None, :]
-
-    u_up = upper_fld.values[tmask][:, interior]
-    u_lo = lower_fld.values[tmask][:, interior]
-    ok_up = np.isfinite(u_up)
-    ok_lo = np.isfinite(u_lo)
-    trusted = upper_fld.meta.get("trusted_region")
-    if trusted is not None:
-        ok_up &= trusted[tmask][:, interior]
-    trusted = lower_fld.meta.get("trusted_region")
-    if trusted is not None:
-        ok_lo &= trusted[tmask][:, interior]
-    if not (np.any(ok_up) and np.any(ok_lo)):
+    grid = np.ix_(tmask, interior)
+    # one field at a time, so its copy and its envelope are the only arrays held
+    sup_upper = _envelope_ratio(upper_fld, grid, up_vals, prof, np.max, -np.inf)
+    inf_lower = _envelope_ratio(lower_fld, grid, lo_vals, prof, np.min, np.inf)
+    if sup_upper is None or inf_lower is None:
         raise DomainError("no trusted nodes left below t_star for the envelope check")
-    sup_upper = float(np.max(np.where(ok_up, u_up / up_env, -np.inf)))
-    inf_lower = float(np.min(np.where(ok_lo, u_lo / lo_env, np.inf)))
 
     passed = bool(bounds[0] <= inf_lower and sup_upper <= bounds[1] and sup_upper > 0.0)
     return SandwichReport(

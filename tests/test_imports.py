@@ -7,6 +7,10 @@ on first use.  No run executes the package inits of ``scipy.integrate``,
 ``scipy.optimize``, ``scipy.special`` or ``scipy.linalg``: the Newton solver
 loads LAPACK's ``_flapack`` extension the same way, and each package shares
 the loaded extension whichever is imported first.
+
+``import blowuplab`` loads its submodules on first use: a session that only
+evaluates profiles and blow-down curves builds no solver, and only
+``blowuplab run`` and ``validate`` load ``configparser``.
 """
 
 import json
@@ -36,6 +40,7 @@ SCRIPT = textwrap.dedent("""
 
     loaded = {}
     rc = [cli.main(["--out", sys.argv[1], "suite", "power"])]
+    loaded["suite power"] = [m for m in ("configparser",) if m in sys.modules]
     mesh = build_graded_mesh(interval(0.0, 1.0), 24, 2.0)
     prob = ParabolicProblem(mesh=mesh, p=2.0, nl=power(2),
                             weight=constant_weight(const_kernel(), 1.0), horizon=0.5)
@@ -115,3 +120,130 @@ def test_scipy_integrate_and_optimize_share_the_loaded_extensions(before):
     line = "import scipy.integrate, scipy.optimize"
     check = 'assert "scipy.integrate" not in sys.modules and "scipy.optimize" not in sys.modules'
     _run(SHARED_EXTENSIONS % ((line, "") if before else ("", check)))
+
+
+# what a session that never solves a PDE must leave unloaded
+SOLVER_SIDE = tuple("blowuplab." + m for m in (
+    "discretize", "geometry", "elliptic", "parabolic", "rates", "sciformat", "experiment", "cli",
+)) + ("scipy.linalg._flapack", "configparser")
+
+KARAMATA_ONLY = textwrap.dedent("""
+    import json, sys
+    import blowuplab as bl
+    bl.BlowupProfile(bl.power_log(2), 2.0).value(0.3)
+    bl.BlowdownCurve(bl.power(2)).value(0.1)
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("blowuplab")
+                            or m in %(names)r)))
+""")
+
+MINIMAL_ONLY = textwrap.dedent("""
+    import json, sys
+    import blowuplab as bl
+    mesh = bl.build_graded_mesh(bl.interval(0.0, 1.0), 24, 2.0)
+    prob = bl.ParabolicProblem(mesh=mesh, p=2.0, nl=bl.power(2),
+                               weight=bl.constant_weight(bl.const_kernel(), 1.0), horizon=0.5)
+    bl.minimal_solution(prob, bl.build_time_grid(0.2, 10, 2.0))
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("blowuplab")
+                            or m in %(names)r)))
+""")
+
+# the public namespace of the eagerly importing package: submodule -> names
+PUBLIC = {
+    "blowdown": ("BlowdownCurve", "equivalence_check", "solve_blowdown", "two_scale_equivalence"),
+    "discretize": (),
+    "elliptic": ("EllipticProblem", "GridFunction", "elliptic_comparison_check",
+                 "solve_elliptic_blowup", "solve_elliptic_capped"),
+    "errors": ("ConfigError", "DomainError", "NumericsError", "SolverError"),
+    "experiment": ("ExperimentConfig", "emit_report", "load_config", "run_experiment"),
+    "extrapolation": (),
+    "geometry": ("Domain", "Mesh", "ball", "build_graded_mesh", "distance_to_boundary", "interval"),
+    "karamata": ("AbsorptionWeight", "BlowupProfile", "WeightKernel", "const_kernel",
+                 "constant_weight", "effective_absorption", "effective_index", "index_gate_bound",
+                 "kernel_primitive", "kernel_primitive_inverse", "limit_estimate", "make_kernel",
+                 "power_kernel", "profile_decay_ratio", "profile_inverse", "profile_value"),
+    "nonlinearity": ("ConditionReport", "Nonlinearity", "blowup_order", "check_conditions",
+                     "make_nonlinearity", "power", "power_log", "primitive", "rv_index_estimate"),
+    "parabolic": ("CompactTestField", "ParabolicProblem", "SpaceTimeField", "build_time_grid",
+                  "maximal_solution", "minimal_solution", "parabolic_comparison_check",
+                  "solve_capped", "step_implicit", "weak_form_residual"),
+    "quadutil": (),
+    "rates": ("GapReport", "RateReport", "SandwichReport", "boundary_rate", "initial_rate",
+              "predicted_boundary_constant", "profile_of_distance", "sandwich_check",
+              "uniqueness_gap"),
+    "sciformat": (),
+    "scipyext": (),
+}
+REEXPORTS = sorted(name for names in PUBLIC.values() for name in names)
+
+NAMESPACE = textwrap.dedent("""
+    import importlib, json, sys
+    import blowuplab
+    public = %(public)r
+    listed = [n for n in dir(blowuplab) if not n.startswith("_")]
+    loaded = sorted(m for m in sys.modules if m.startswith("blowuplab."))
+    wrong = []
+    for module, names in public.items():
+        mod = importlib.import_module("blowuplab." + module)
+        if getattr(blowuplab, module) is not mod:
+            wrong.append(module)
+        for name in names:
+            if getattr(blowuplab, name) is not getattr(mod, name) or name not in vars(blowuplab):
+                wrong.append(name)
+    try:
+        blowuplab.no_such_name
+        unknown = None
+    except AttributeError as exc:
+        unknown = str(exc)
+    star = {}
+    exec("from blowuplab import *", star)
+    print(json.dumps({"listed": listed, "loaded_at_import": loaded, "wrong": wrong,
+                      "unknown": unknown, "star": sorted(k for k in star if k != "__builtins__"),
+                      "all": sorted(getattr(blowuplab, "__all__", ())), "version": blowuplab.__version__}))
+""") % {"public": PUBLIC}
+
+
+def test_karamata_only_session_builds_no_solver():
+    loaded = json.loads(_run(KARAMATA_ONLY % {"names": SOLVER_SIDE}).strip().splitlines()[-1])
+    assert [m for m in loaded if m in SOLVER_SIDE] == []
+    assert loaded == ["blowuplab"] + ["blowuplab." + m for m in (
+        "blowdown", "errors", "extrapolation", "karamata", "nonlinearity", "quadutil", "scipyext")]
+
+
+def test_minimal_solution_session_loads_no_rate_checks_or_pipeline():
+    skipped = ("blowuplab.rates", "blowuplab.experiment", "blowuplab.sciformat", "configparser")
+    loaded = json.loads(_run(MINIMAL_ONLY % {"names": skipped}).strip().splitlines()[-1])
+    assert [m for m in loaded if m in skipped] == []
+    # positive control: the solver stack did load
+    assert {"blowuplab.parabolic", "blowuplab.discretize"} <= set(loaded)
+
+
+def test_suite_run_leaves_configparser_unloaded(loaded):
+    assert loaded["suite power"] == []
+
+
+@pytest.fixture(scope="module")
+def namespace():
+    return json.loads(_run(NAMESPACE).strip().splitlines()[-1])
+
+
+def test_import_loads_no_submodule(namespace):
+    assert namespace["loaded_at_import"] == []
+
+
+def test_public_namespace_is_unchanged(namespace):
+    assert namespace["listed"] == sorted(REEXPORTS + list(PUBLIC))
+    assert len(namespace["listed"]) == 81
+    assert namespace["version"] == "0.1.0"
+
+
+def test_every_public_name_resolves_to_its_submodule_object(namespace):
+    assert namespace["wrong"] == []
+
+
+def test_unknown_name_raises_attribute_error_naming_it(namespace):
+    assert "no_such_name" in namespace["unknown"]
+
+
+def test_star_import_binds_the_reexports(namespace):
+    assert namespace["all"] == REEXPORTS
+    assert namespace["star"] == REEXPORTS

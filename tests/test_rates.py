@@ -12,7 +12,8 @@ from blowuplab.experiment import _build_problem, _fmt, _write_trajectory_csv
 from blowuplab.geometry import ball, build_graded_mesh, interval
 from blowuplab.karamata import const_kernel, constant_weight, power_kernel
 from blowuplab.nonlinearity import power, power_log
-from blowuplab.parabolic import ParabolicProblem, SpaceTimeField, build_time_grid, minimal_solution
+from blowuplab.parabolic import (ParabolicProblem, SpaceTimeField, build_time_grid, maximal_solution,
+                                 minimal_solution)
 from blowuplab.rates import (
     _by_branch,
     _space_free_curves,
@@ -382,6 +383,53 @@ def test_trajectory_csv_matches_the_template_writer_on_suite_fields(suite, tmp_p
     _write_trajectory_csv(tmp_path / "new.csv", prob, fld)
     _template_trajectory_csv(tmp_path / "ref.csv", prob, fld)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _reference_sandwich_ratios(lower_fld, upper_fld, prob, t_star):
+    """sup(upper/envelope) and inf(lower/envelope) with both envelopes, both
+    double-indexed field copies and both quotients held at once."""
+    mesh = lower_fld.mesh
+    tmask = (lower_fld.times > 0.0) & (lower_fld.times <= t_star)
+    interior = mesh.interior_idx
+    prof = profile_of_distance(prob.nl, prob.p, prob.weight.kernel,
+                               mesh.boundary_distance()[interior])
+    up_vals, lo_vals = _by_branch(prob, *space_free_values(prob, lower_fld.times[tmask]))
+    up_env = up_vals[:, None] + prof[None, :]
+    lo_env = lo_vals[:, None] + prof[None, :]
+    u_up = upper_fld.values[tmask][:, interior]
+    u_lo = lower_fld.values[tmask][:, interior]
+    ok_up = np.isfinite(u_up)
+    ok_lo = np.isfinite(u_lo)
+    for ok, fld in ((ok_up, upper_fld), (ok_lo, lower_fld)):
+        trusted = fld.meta.get("trusted_region")
+        if trusted is not None:
+            ok &= trusted[tmask][:, interior]
+    return (float(np.max(np.where(ok_up, u_up / up_env, -np.inf))),
+            float(np.min(np.where(ok_lo, u_lo / lo_env, np.inf))))
+
+
+@pytest.mark.parametrize("suite", ["power", "kernel-linear"])
+def test_sandwich_matches_the_reference_on_suite_fields(suite):
+    (cfg,) = SUITES[suite]
+    prob = _build_problem(cfg)[-1]
+    times = build_time_grid(cfg.t_star, cfg.n_steps, cfg.time_grading)
+    caps = dict(cap_base=cfg.cap_base, cap_factor=cfg.cap_factor,
+                max_rungs=cfg.max_cap_rungs, margin=cfg.cap_margin)
+    mn = minimal_solution(prob, times, **caps)
+    mx = maximal_solution(prob, times, cfg.eps_start * cfg.eps_factor ** np.arange(cfg.eps_rungs),
+                          **caps)
+    # both masks bite on the interior nodes below t_star
+    below = (times > 0.0) & (times <= cfg.t_star)
+    grid = np.ix_(below, prob.mesh.interior_idx)
+    assert np.isnan(mx.values[grid]).any()
+    assert not mx.meta["trusted_region"][grid][np.isfinite(mx.values[grid])].all()
+    before = mx.values.copy(), mn.values.copy()
+    rep = sandwich_check(mn, mx, prob, t_star=cfg.t_star, bounds=cfg.sandwich_bounds)
+    assert (rep.sup_upper, rep.inf_lower) == _reference_sandwich_ratios(mn, mx, prob, cfg.t_star)
+    assert rep.passed
+    # the fields themselves are left as they were
+    assert np.array_equal(mx.values, before[0], equal_nan=True)
+    assert np.array_equal(mn.values, before[1], equal_nan=True)
 
 
 def test_trajectory_reuses_the_plain_curve_for_a_unit_frozen_weight(tmp_path, monkeypatch):
