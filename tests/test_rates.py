@@ -247,6 +247,13 @@ def test_sandwich_on_synthetic_fields():
     assert rep.passed
     assert rep.sup_upper == pytest.approx(0.5, rel=1e-9)
     assert rep.inf_lower == pytest.approx(0.5, rel=1e-9)
+    # either field without a finite, trusted node below t_star is refused
+    untrusted = SpaceTimeField(mesh=mesh, times=times, values=vals,
+                               meta={"trusted_region": np.zeros(vals.shape, dtype=bool)})
+    blank = SpaceTimeField(mesh=mesh, times=times, values=np.full(vals.shape, np.nan))
+    for lower, upper in ((fld, untrusted), (blank, fld)):
+        with pytest.raises(DomainError, match="no trusted nodes"):
+            sandwich_check(lower, upper, prob, t_star=0.1)
 
 
 def test_rate_report_row_schema():
