@@ -73,8 +73,7 @@ class Discretization:
     dirichlet_idx: np.ndarray
 
     @classmethod
-    def build(cls, mesh: Mesh, p: float, eps_reg: float | None = None,
-              dirichlet_idx=None) -> "Discretization":
+    def build(cls, mesh: Mesh, p: float, dirichlet_idx=None) -> "Discretization":
         x = mesh.nodes
         nu = mesh.domain.metric_power
         h = np.diff(x)
@@ -87,11 +86,9 @@ class Discretization:
             dirichlet_idx = np.asarray(mesh.boundary_idx, dtype=int)
         else:
             dirichlet_idx = np.asarray(dirichlet_idx, dtype=int)
-        if eps_reg is None:
-            eps_reg = mesh.h_min
         for a in (h, m, vol, dirichlet_idx):
             a.setflags(write=False)
-        return cls(mesh=mesh, p=p, eps_reg=float(eps_reg), h_face=h, m_face=m,
+        return cls(mesh=mesh, p=p, eps_reg=float(mesh.h_min), h_face=h, m_face=m,
                    volumes=vol, dirichlet_idx=dirichlet_idx)
 
     @cached_property
@@ -233,41 +230,27 @@ def solve_banded(lower, diag, upper, rhs) -> np.ndarray:
 
 
 def newton_solve(disc: Discretization, u0, *, weight, f, fp, source=None,
-                 mass_coef=0.0, u_prev=None, dirichlet_val=None,
-                 rtol=NEWTON_RTOL, max_iter=MAX_NEWTON) -> tuple[np.ndarray, dict]:
+                 mass_coef=0.0, u_prev=None, dirichlet_val=None) -> tuple[np.ndarray, dict]:
     """Damped Newton iteration for one nonlinear FV system.
 
-    For p far from 2 a failed solve is retried on a ladder of larger
-    regularizations, warm-starting the original one (simple continuation).
-    Non-positive iterates are projected back to zero and counted.
+    For p != 2 the solve runs in three stages, at 100, 10 and 1 times the
+    regularization ``disc.eps_reg``, each warm-started from the last; the
+    first two stop at a scaled residual of 1e-6, the last at ``NEWTON_RTOL``.
+    A failing stage's ``SolverError`` ends the solve.  Non-positive iterates
+    are projected back to zero and counted.
     """
-    eps_ladder = [disc.eps_reg]
-    if disc.p != 2.0:
-        eps_ladder = [disc.eps_reg * 100.0, disc.eps_reg * 10.0, disc.eps_reg]
     u = np.array(u0, dtype=float)
-    info: dict = {"iterations": 0, "projections": 0, "restarts": 0}
-    last_exc: SolverError | None = None
-    for k, eps in enumerate(eps_ladder):
-        final = eps == disc.eps_reg
-        try:
-            u = _newton_single(disc, u, weight=weight, f=f, fp=fp, source=source,
-                               mass_coef=mass_coef, u_prev=u_prev,
-                               dirichlet_val=dirichlet_val, rtol=rtol if final else 1e-6,
-                               max_iter=max_iter, eps=eps, info=info)
-            last_exc = None
-            if final:
-                return u, info
-        except SolverError as exc:
-            last_exc = exc
-            info["restarts"] += 1
-            u = np.array(u0, dtype=float)
-    if last_exc is not None:
-        raise last_exc
+    info: dict = {"iterations": 0, "projections": 0}
+    for factor in (100.0, 10.0, 1.0) if disc.p != 2.0 else (1.0,):
+        u = _newton_single(disc, u, weight=weight, f=f, fp=fp, source=source,
+                           mass_coef=mass_coef, u_prev=u_prev, dirichlet_val=dirichlet_val,
+                           rtol=NEWTON_RTOL if factor == 1.0 else 1e-6,
+                           eps=disc.eps_reg * factor, info=info)
     return u, info
 
 
 def _newton_single(disc, u, *, weight, f, fp, source, mass_coef, u_prev,
-                   dirichlet_val, rtol, max_iter, eps, info) -> np.ndarray:
+                   dirichlet_val, rtol, eps, info) -> np.ndarray:
     # u is never written in place: each accepted iterate is a new array
     dirichlet = dirichlet_val is not None
     merit_hist = []
@@ -276,7 +259,7 @@ def _newton_single(disc, u, *, weight, f, fp, source, mass_coef, u_prev,
     R, scale = disc.residual(u, weight=weight, f=f, fp=fp, source=source,
                              mass_coef=mass_coef, u_prev=u_prev,
                              dirichlet_val=dirichlet_val, eps=eps)
-    for it in range(max_iter):
+    for it in range(MAX_NEWTON):
         # the scaling weights are frozen per iteration: re-scaling inside the
         # line search would hide genuine residual decrease
         wts = 1.0 / (1.0 + scale)
@@ -333,6 +316,6 @@ def _newton_single(disc, u, *, weight, f, fp, source, mass_coef, u_prev,
                 {"iteration": it, "merit": merit, "history": merit_hist[-6:]},
             )
     raise SolverError(
-        f"Newton did not converge in {max_iter} iterations",
+        f"Newton did not converge in {MAX_NEWTON} iterations",
         {"merit": merit_hist[-1], "history": merit_hist[-6:]},
     )

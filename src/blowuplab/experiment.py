@@ -72,8 +72,8 @@ _SCHEMA = {
         "max_cap_rungs", "eps_start", "eps_factor", "eps_rungs", "n_steps", "time_grading",
     },
     "verification": {
-        "checks", "boundary_t0", "initial_window", "pde_rtol", "ode_rtol",
-        "sandwich_bounds", "ladder_ratio",
+        "checks", "boundary_t0", "initial_window", "pde_rtol", "sandwich_bounds",
+        "ladder_ratio",
     },
     "output": {"directory"},
 }
@@ -113,7 +113,6 @@ class ExperimentConfig:
     boundary_t0: tuple[float, ...] = (0.1, 0.2)
     initial_window: tuple[float, float] = (1e-3, 1e-1)
     pde_rtol: float = 0.05
-    ode_rtol: float = 1e-3
     sandwich_bounds: tuple[float, float] = (1e-3, 1e3)
     ladder_ratio: float = 2.0
     # output
@@ -189,7 +188,6 @@ def load_config(path) -> ExperimentConfig:
     take("verification", "initial_window", _parse_floats,
          check=lambda v: len(v) == 2 and 0 < v[0] < v[1], describe="window must be 0 < lo < hi")
     take("verification", "pde_rtol", float, check=lambda v: v > 0, describe="tolerance must be positive")
-    take("verification", "ode_rtol", float, check=lambda v: v > 0, describe="tolerance must be positive")
     take("verification", "sandwich_bounds", _parse_floats,
          check=lambda v: len(v) == 2 and 0 < v[0] < v[1], describe="bounds must be 0 < lo < hi")
     take("verification", "ladder_ratio", float, check=lambda v: v > 1, describe="ladder ratio must exceed 1")

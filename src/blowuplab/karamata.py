@@ -374,15 +374,12 @@ def cap_ceiling(
 class AbsorptionWeight:
     """Space-time weight b(x, t) = beta(x, t) * k(d(x))**p.
 
-    ``beta`` is the amplitude relative to the kernel power; ``alpha1`` and
-    ``alpha2`` are the declared envelope factors with
-    alpha1(t) <= beta(x, t) <= alpha2(t), verified on samples at build time.
+    ``beta`` is the amplitude relative to the kernel power; ``constant_weight``
+    builds the constant one that every configuration uses.
     """
 
     kernel: WeightKernel
     beta: Callable[[np.ndarray, float], np.ndarray]
-    alpha1: Callable[[float], float]
-    alpha2: Callable[[float], float]
 
     def amplitude(self, x, t: float):
         return np.asarray(self.beta(np.asarray(x, dtype=float), t), dtype=float)
@@ -404,28 +401,5 @@ def constant_weight(kernel: WeightKernel, amplitude: float = 1.0) -> AbsorptionW
     return AbsorptionWeight(
         kernel=kernel,
         beta=lambda x, t: np.full_like(np.asarray(x, dtype=float), a),
-        alpha1=lambda t: a,
-        alpha2=lambda t: a,
     )
 
-
-def validated_weight(
-    kernel: WeightKernel,
-    beta,
-    alpha1,
-    alpha2,
-    x_samples,
-    t_samples,
-) -> AbsorptionWeight:
-    """Build a weight and verify the envelope condition on the given samples."""
-    w = AbsorptionWeight(kernel=kernel, beta=beta, alpha1=alpha1, alpha2=alpha2)
-    xs = np.asarray(x_samples, dtype=float)
-    for t in t_samples:
-        amp = w.amplitude(xs, t)
-        lo, hi = alpha1(t), alpha2(t)
-        if np.any(amp < lo * (1.0 - 1e-12)) or np.any(amp > hi * (1.0 + 1e-12)):
-            raise ConfigError(
-                f"amplitude escapes its declared envelope at t = {t:g}: "
-                f"range [{amp.min():g}, {amp.max():g}] vs [{lo:g}, {hi:g}]"
-            )
-    return w

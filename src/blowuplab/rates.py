@@ -7,8 +7,8 @@ geometric error mode of both the continuum approach and the discretization),
 and a convergence flag.  A ladder whose final iterates do not settle is
 marked non-converged rather than silently passed.
 
-Tolerances: PDE-measured constants default to 5% relative (discretization
-error dominates), ODE/quadrature-measured quantities to 1e-3.
+Tolerance: the boundary and initial rates default to 5% relative
+(``PDE_RTOL``), since the discretization error of the measured field dominates.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .parabolic import ParabolicProblem, SpaceTimeField
 logger = logging.getLogger(__name__)
 
 PDE_RTOL = 0.05
-ODE_RTOL = 1e-3
 
 
 @dataclass

@@ -100,6 +100,25 @@ def test_cap_rtol_is_an_unknown_key(tmp_path):
     assert err.value.violations == ["unknown key 'cap_rtol' in [solver]"]
 
 
+def test_ode_rtol_is_an_unknown_key(tmp_path):
+    # no check reads a curve or quadrature tolerance, so none is configured
+    p = tmp_path / "rtol.cfg"
+    p.write_text(MINIMAL.replace("pde_rtol = 0.15", "pde_rtol = 0.15\node_rtol = 1e-3"))
+    with pytest.raises(ConfigError) as err:
+        load_config(p)
+    assert err.value.violations == ["unknown key 'ode_rtol' in [verification]"]
+
+
+def test_readme_configuration_is_valid(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    p = tmp_path / "readme.cfg"
+    p.write_text(block)
+    cfg = load_config(p)
+    assert cfg.checks == ("conditions", "elliptic_rate", "boundary_rate", "initial_rate", "sandwich")
+    assert cfg.eps_rungs == 3
+
+
 def test_t_star_window_gate(tmp_path):
     p = tmp_path / "win.cfg"
     p.write_text(MINIMAL.replace("t_star = 0.2", "t_star = 0.49"))

@@ -142,25 +142,18 @@ def _reference_newton_single(disc, u0, *, weight, f, fp, source, mass_coef, u_pr
 
 def _reference_newton_solve(disc, u0, *, weight, f, fp, source=None, mass_coef=0.0,
                             u_prev=None, dirichlet_val=None):
-    eps_ladder = [disc.eps_reg]
+    eps_stages = [disc.eps_reg]
     if disc.p != 2.0:
-        eps_ladder = [disc.eps_reg * 100.0, disc.eps_reg * 10.0, disc.eps_reg]
+        eps_stages = [disc.eps_reg * 100.0, disc.eps_reg * 10.0, disc.eps_reg]
     u = np.array(u0, dtype=float)
-    info = {"iterations": 0, "projections": 0, "restarts": 0}
-    for eps in eps_ladder:
-        final = eps == disc.eps_reg
-        try:
-            u = _reference_newton_single(disc, u, weight=weight, f=f, fp=fp, source=source,
-                                         mass_coef=mass_coef, u_prev=u_prev,
-                                         dirichlet_val=dirichlet_val,
-                                         rtol=NEWTON_RTOL if final else 1e-6, eps=eps,
-                                         info=info)
-            if final:
-                return u, info
-        except SolverError:
-            info["restarts"] += 1
-            u = np.array(u0, dtype=float)
-    raise SolverError("ladder exhausted")
+    info = {"iterations": 0, "projections": 0}
+    for eps in eps_stages:
+        u = _reference_newton_single(disc, u, weight=weight, f=f, fp=fp, source=source,
+                                     mass_coef=mass_coef, u_prev=u_prev,
+                                     dirichlet_val=dirichlet_val,
+                                     rtol=NEWTON_RTOL if eps == disc.eps_reg else 1e-6,
+                                     eps=eps, info=info)
+    return u, info
 
 
 def _kernel_cases():
@@ -172,7 +165,7 @@ def _kernel_cases():
     yield "p2-interval", Discretization.build(mesh, 2.0), u_prev, dict(
         weight=np.ones_like(x), f=nl2.func, fp=nl2.deriv, mass_coef=1.0 / 0.05,
         u_prev=u_prev, dirichlet_val=u_prev)
-    # p = 3 on an interval: the regularization ladder, a scalar cap
+    # p = 3 on an interval: the three regularization stages, a scalar cap
     u_prev = np.full(x.size, 20.0)
     yield "p3-interval", Discretization.build(mesh, 3.0), u_prev, dict(
         weight=1.0 + x, f=nl3.func, fp=nl3.deriv, mass_coef=1.0 / 0.01,
@@ -247,17 +240,25 @@ def test_far_start_backtracks_and_projects(monkeypatch):
     assert len(calls) > info["iterations"] + 1
 
 
-def test_non_finite_newton_system_is_a_solver_error():
+def test_non_finite_newton_system_is_a_solver_error(monkeypatch):
     mesh = build_graded_mesh(interval(0.0, 1.0), 40, 1.0)
     nl = power(2)
-    disc = Discretization.build(mesh, 2.0)
     u0 = np.full(mesh.nodes.size, 1e200)  # f(u0) overflows
-    with pytest.raises(SolverError, match="non-finite") as exc_info, \
-            np.errstate(over="ignore", invalid="ignore"):
-        newton_solve(disc, u0, weight=np.ones_like(u0), f=nl.func, fp=nl.deriv,
-                     dirichlet_val=1.0)
-    assert set(exc_info.value.diagnostics) == {"iteration", "merit"}
-    assert exc_info.value.diagnostics["iteration"] == 0
+    calls = []
+    real = Discretization.residual
+    monkeypatch.setattr(Discretization, "residual",
+                        lambda self, u, **k: calls.append(1) or real(self, u, **k))
+    for p in (2.0, 3.0):
+        calls.clear()
+        with pytest.raises(SolverError, match="non-finite") as exc_info, \
+                np.errstate(over="ignore", invalid="ignore"):
+            newton_solve(Discretization.build(mesh, p), u0, weight=np.ones_like(u0),
+                         f=nl.func, fp=nl.deriv, dirichlet_val=1.0)
+        assert set(exc_info.value.diagnostics) == {"iteration", "merit"}
+        assert exc_info.value.diagnostics["iteration"] == 0
+        # a failing stage ends the solve: for p = 3 the later stages do not
+        # start over from u0
+        assert len(calls) == 1
 
 
 def test_singular_newton_system_is_a_solver_error():

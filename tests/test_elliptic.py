@@ -184,3 +184,15 @@ def test_capped_rejects_bad_cap():
     mesh = build_graded_mesh(interval(0.0, 1.0), 16, 1.0)
     with pytest.raises(DomainError):
         solve_elliptic_capped(quadratic_problem(mesh), -1.0)
+
+
+def test_degenerate_blowup_needs_the_regularization_stages():
+    # p = 3, f = u^3 on 400 graded cells: Newton converges only because the
+    # first stage, at 100 eps_reg, stops at 1e-6 and warm-starts the others;
+    # a single stage at eps_reg needs more than MAX_NEWTON iterations
+    mesh = build_graded_mesh(interval(0.0, 1.0), 400, 2.0)
+    prob = EllipticProblem(mesh=mesh, p=3.0, nl=power(3))
+    z = solve_elliptic_blowup(prob)
+    interior = z.values[mesh.interior_idx]
+    assert np.all(np.isfinite(interior)) and np.all(interior > 0.0)
+    assert np.all(interior <= z.cap)

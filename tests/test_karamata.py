@@ -8,6 +8,7 @@ from blowuplab.errors import ConfigError, DomainError
 from blowuplab.extrapolation import log_slope_limit
 from blowuplab.geometry import build_graded_mesh, interval
 from blowuplab.karamata import (
+    AbsorptionWeight,
     BlowupProfile,
     WeightKernel,
     cap_ceiling,
@@ -24,7 +25,6 @@ from blowuplab.karamata import (
     profile_decay_ratio,
     profile_inverse,
     profile_value,
-    validated_weight,
 )
 from blowuplab.nonlinearity import power, power_log, rv_index_estimate
 from blowuplab.quadutil import upper_tail_integral
@@ -274,16 +274,9 @@ def test_decay_ratio_window_enforced():
         profile_decay_ratio(const_kernel(), power(2), 2.0, 1.5, np.array([0.1, 0.01]))
 
 
-def test_weight_envelope_validation():
-    k = const_kernel()
-    w = validated_weight(k, beta=lambda x, t: 1.0 + 0.1 * np.sin(x),
-                         alpha1=lambda t: 0.9, alpha2=lambda t: 1.1,
-                         x_samples=np.linspace(0, 1, 11), t_samples=[0.0, 0.2])
+def test_weight_values_with_space_dependent_amplitude():
+    w = AbsorptionWeight(kernel=const_kernel(), beta=lambda x, t: 1.0 + 0.1 * np.sin(x))
     assert w.values(np.array([0.5]), np.array([0.5]), 0.0, 2.0)[0] == pytest.approx(1.0 + 0.1 * math.sin(0.5))
-    with pytest.raises(ConfigError, match="envelope"):
-        validated_weight(k, beta=lambda x, t: 2.0 + 0 * x,
-                         alpha1=lambda t: 0.9, alpha2=lambda t: 1.1,
-                         x_samples=np.linspace(0, 1, 5), t_samples=[0.0])
 
 
 def test_constant_weight():
