@@ -20,8 +20,6 @@ from pathlib import Path
 from .errors import ConfigError
 from .experiment import ExperimentConfig, load_config, run_experiment
 
-logger = logging.getLogger(__name__)
-
 # small, fast configurations exercising the main theory branches end-to-end
 SUITES: dict[str, list[ExperimentConfig]] = {
     "power": [

@@ -19,7 +19,6 @@ are deterministic: the same configuration yields byte-identical files.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,8 +52,6 @@ from .rates import (
     uniqueness_gap,
 )
 from .sciformat import format_e11_rows
-
-logger = logging.getLogger(__name__)
 
 # steps of trajectory.csv whose values are formatted together: enough to share
 # the numpy calls, few enough that the arrays of a chunk stay small

@@ -10,9 +10,11 @@ extension is loaded by ``scipyext.load_extension`` on first use, so a
 pure-power run, whose profile, blow-down curve and tail check are closed
 forms, loads neither, and no run pays the package inits of
 ``scipy.integrate``, ``scipy.optimize``, ``scipy.special`` and
-``scipy.linalg`` that ``from scipy.integrate import quad`` would run.  Where
-QUADPACK stops short of its tolerance, ``quad`` warns with
-``errors.QuadratureWarning``.
+``scipy.linalg`` that ``from scipy.integrate import quad`` would run.  The
+first ``_qagse`` or ``_brentq`` call imports ``scipy._lib._ccallback``, and
+with it ``scipy``'s own init: a power_log run pays those 13-16 ms at its
+first quadrature, a pure-power run never.  Where QUADPACK stops short of its
+tolerance, ``quad`` warns with ``errors.QuadratureWarning``.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ Tolerance: the boundary and initial rates default to 5% relative
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -26,8 +25,6 @@ from .extrapolation import aitken_limit
 from .karamata import WeightKernel, effective_absorption, kernel_primitive, profile_value
 from .nonlinearity import Nonlinearity, blowup_order, is_convex, quotient_increasing
 from .parabolic import ParabolicProblem, SpaceTimeField
-
-logger = logging.getLogger(__name__)
 
 PDE_RTOL = 0.05
 

@@ -177,6 +177,11 @@ def _kernel_cases():
     yield "ball2", Discretization.build(mesh, 2.0), u_prev, dict(
         weight=np.ones_like(r), f=nl2.func, fp=nl2.deriv, mass_coef=1.0 / 0.02,
         u_prev=u_prev, dirichlet_val=10.0)
+    # p = 3 on the disc: the face-weighted p != 2 Jacobian
+    u_prev = np.full(r.size, 20.0)
+    yield "p3-ball2", Discretization.build(mesh, 3.0), u_prev, dict(
+        weight=1.0 + r, f=nl3.func, fp=nl3.deriv, mass_coef=1.0 / 0.01,
+        u_prev=u_prev, dirichlet_val=20.0)
     # zero-flux ends: no Dirichlet rows at all
     mesh = build_graded_mesh(interval(0.0, 1.0), 40, 1.0)
     x = mesh.nodes

@@ -6,7 +6,10 @@ root finder; a power_log run loads QUADPACK's and Brent's compiled extensions
 on first use.  No run executes the package inits of ``scipy.integrate``,
 ``scipy.optimize``, ``scipy.special`` or ``scipy.linalg``: the Newton solver
 loads LAPACK's ``_flapack`` extension the same way, and each package shares
-the loaded extension whichever is imported first.
+the loaded extension whichever is imported first.  Loading ``_flapack`` does
+not run ``scipy``'s own init either, so a pure-power solver session leaves
+``scipy`` unloaded; a power_log run imports it at its first quadrature, through
+``scipy._lib._ccallback``.
 
 ``import blowuplab`` loads its submodules on first use: a session that only
 evaluates profiles and blow-down curves builds no solver, and only
@@ -18,16 +21,19 @@ import os
 import subprocess
 import sys
 import textwrap
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from pathlib import Path
 
 import pytest
 
 import blowuplab
+from blowuplab import scipyext
 
 EXTENSIONS = ("scipy.integrate._quadpack", "scipy.optimize._zeros")
 # the package inits, and what scipy.linalg's clone of numpy's namespace pulls in
 PACKAGE_INITS = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg",
                  "numpy.f2py", "numpy.testing")
+SCIPY_INIT = "scipy"
 
 SCRIPT = textwrap.dedent("""
     import json, sys
@@ -51,7 +57,7 @@ SCRIPT = textwrap.dedent("""
     rc.append(cli.main(["--out", sys.argv[1], "suite", "power-log"]))
     loaded["power_log"] = [m for m in %(names)r if m in sys.modules]
     print(json.dumps({"rc": rc, "loaded": loaded}))
-""") % {"names": EXTENSIONS + PACKAGE_INITS}
+""") % {"names": EXTENSIONS + PACKAGE_INITS + (SCIPY_INIT,)}
 
 SHARED = textwrap.dedent("""
     import sys
@@ -107,6 +113,31 @@ def test_pure_power_run_skips_the_scipy_linalg_package_init(loaded):
 
 def test_power_log_run_skips_every_scipy_package_init(loaded):
     assert [m for m in loaded["power_log"] if m in PACKAGE_INITS] == []
+
+
+def test_pure_power_solver_session_skips_the_scipy_init(loaded):
+    assert SCIPY_INIT not in loaded["pure power"]
+
+
+def test_power_log_run_loads_scipy_at_its_first_quadrature(loaded):
+    # positive control: QUADPACK's and Brent's callbacks import scipy._lib._ccallback
+    assert SCIPY_INIT in loaded["power_log"]
+
+
+def test_extension_file_that_fails_to_load_is_imported_the_ordinary_way(tmp_path, monkeypatch):
+    # a fresh directory: no cached result for it can stand in for the fallback
+    name = "scipy.linalg._stub"
+    (tmp_path / ("_stub" + EXTENSION_SUFFIXES[0])).write_bytes(b"")
+
+    def refuse(self, spec):
+        raise ImportError("the library the extension links against was not found")
+
+    monkeypatch.setattr(ExtensionFileLoader, "create_module", refuse)
+    imported = []
+    monkeypatch.setattr(scipyext, "import_module", lambda n: imported.append(n) or imported)
+    assert scipyext.load_extension(name, tmp_path) is imported
+    assert imported == [name]
+    assert name not in sys.modules
 
 
 @pytest.mark.parametrize("before", [True, False], ids=["linalg-first", "linalg-after"])
