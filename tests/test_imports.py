@@ -119,7 +119,7 @@ def test_pure_power_solver_session_skips_the_scipy_init(loaded):
     assert SCIPY_INIT not in loaded["pure power"]
 
 
-def test_power_log_run_loads_scipy_at_its_first_quadrature(loaded):
+def test_power_log_run_loads_the_scipy_init(loaded):
     # positive control: QUADPACK's and Brent's callbacks import scipy._lib._ccallback
     assert SCIPY_INIT in loaded["power_log"]
 
