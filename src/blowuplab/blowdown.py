@@ -84,9 +84,9 @@ class BlowdownCurve:
                                otypes=[float])(arr)
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
-    def ode_residual(self, t: float, rel_step: float = 1e-4) -> float:
+    def ode_residual(self, t: float) -> float:
         """Relative defect of w' = -g(w) measured by central differences."""
-        h = rel_step * t
+        h = 1e-4 * t
         dw = (self.value(t + h) - self.value(t - h)) / (2.0 * h)
         rhs = float(self.g(self.value(t)))
         return abs(dw + rhs) / abs(rhs)

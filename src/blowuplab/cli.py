@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -25,7 +24,7 @@ SUITES: dict[str, list[ExperimentConfig]] = {
     "power": [
         ExperimentConfig(
             name="power-interval",
-            n_cells=200, n_steps=300, t_star=0.2, horizon=0.5,
+            n_cells=200, n_steps=300, t_star=0.2,
             boundary_t0=(0.1,), initial_window=(1e-2, 1e-1), pde_rtol=0.10,
             eps_rungs=3, eps_start=0.04,
             checks=("conditions", "elliptic_rate", "boundary_rate", "initial_rate", "sandwich"),
@@ -35,7 +34,7 @@ SUITES: dict[str, list[ExperimentConfig]] = {
         ExperimentConfig(
             name="power-log-interval",
             absorption="power_log(2)",
-            n_cells=200, n_steps=300, t_star=0.2, horizon=0.5,
+            n_cells=200, n_steps=300, t_star=0.2,
             boundary_t0=(0.1,), initial_window=(1e-2, 1e-1), pde_rtol=0.10,
             eps_rungs=3, eps_start=0.04,
             checks=("conditions", "elliptic_rate", "boundary_rate", "initial_rate", "sandwich"),
@@ -44,7 +43,7 @@ SUITES: dict[str, list[ExperimentConfig]] = {
     "power-beta4": [
         ExperimentConfig(
             name="power-interval-beta4",
-            amplitude=4.0, n_cells=200, n_steps=120, t_star=0.2, horizon=0.5,
+            amplitude=4.0, n_cells=200, n_steps=120, t_star=0.2,
             boundary_t0=(0.1,), pde_rtol=0.10, eps_rungs=0,
             checks=("conditions", "elliptic_rate", "boundary_rate"),
         ),
@@ -52,7 +51,7 @@ SUITES: dict[str, list[ExperimentConfig]] = {
     "kernel-linear": [
         ExperimentConfig(
             name="kernel-linear-interval",
-            kernel="power(1)", n_cells=160, n_steps=120, t_star=0.2, horizon=0.5,
+            kernel="power(1)", n_cells=160, n_steps=120, t_star=0.2,
             eps_rungs=3, eps_start=0.04,
             checks=("conditions", "sandwich"),
         ),
@@ -61,7 +60,7 @@ SUITES: dict[str, list[ExperimentConfig]] = {
         ExperimentConfig(
             name="power-ball2d",
             domain_kind="ball", radius=1.0, dimension=2,
-            n_cells=200, n_steps=120, t_star=0.2, horizon=0.5,
+            n_cells=200, n_steps=120, t_star=0.2,
             boundary_t0=(0.1,), pde_rtol=0.10, eps_rungs=0,
             checks=("conditions", "elliptic_rate", "boundary_rate"),
         ),
@@ -69,18 +68,10 @@ SUITES: dict[str, list[ExperimentConfig]] = {
 }
 
 
-def _scale_tolerances(cfg: ExperimentConfig, scale: float) -> ExperimentConfig:
-    if scale == 1.0:
-        return cfg
-    return replace(cfg, pde_rtol=cfg.pde_rtol * scale)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="blowuplab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--tolerance-scale", type=float, default=1.0,
-                        help="multiply the rate checks' pass tolerance (pde_rtol) by this factor")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
     p_val = sub.add_parser("validate", help="validate a configuration file")
@@ -109,15 +100,13 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             print(exc)
             return 2
-        cfg = _scale_tolerances(cfg, args.tolerance_scale)
         res = run_experiment(cfg, out_dir=args.out)
         _print_result(res, args.out or cfg.directory)
         return 0 if res.passed else 1
 
-    configs = [_scale_tolerances(c, args.tolerance_scale) for c in SUITES[args.name]]
     base = Path(args.out) if args.out else Path("out")
     ok = True
-    for cfg in configs:
+    for cfg in SUITES[args.name]:
         res = run_experiment(cfg, base / cfg.name)
         _print_result(res, base / res.name)
         ok &= res.passed

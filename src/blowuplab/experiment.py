@@ -45,6 +45,7 @@ from .parabolic import (
 from .rates import (
     RateReport,
     boundary_rate,
+    frozen_coefficient,
     initial_rate,
     profile_of_distance,
     sandwich_check,
@@ -58,23 +59,6 @@ from .sciformat import format_e11_rows
 _CSV_CHUNK_STEPS = 32
 
 KNOWN_CHECKS = ("conditions", "elliptic_rate", "boundary_rate", "initial_rate", "sandwich", "uniqueness")
-
-_SCHEMA = {
-    "problem": {
-        "domain", "a", "b", "radius", "dimension", "p", "absorption", "kernel",
-        "amplitude", "horizon", "t_star", "allow_full_horizon",
-    },
-    "solver": {
-        "n_cells", "mesh_grading", "cap_base", "cap_factor", "cap_margin",
-        "max_cap_rungs", "eps_start", "eps_factor", "eps_rungs", "n_steps", "time_grading",
-    },
-    "verification": {
-        "checks", "boundary_t0", "initial_window", "pde_rtol", "sandwich_bounds",
-        "ladder_ratio",
-    },
-    "output": {"directory"},
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -90,9 +74,7 @@ class ExperimentConfig:
     absorption: str = "power(2)"
     kernel: str = "const"
     amplitude: float = 1.0
-    horizon: float = 0.5
     t_star: float = 0.25
-    allow_full_horizon: bool = False
     # solver
     n_cells: int = 200
     mesh_grading: float = 2.0
@@ -121,6 +103,55 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(v.strip()) for v in text.split(",") if v.strip())
 
 
+def _parse_names(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+# the configuration grammar: section -> key -> (attribute, parser, check, message);
+# a value that parses but fails its check is reported with the message
+_GRAMMAR = {
+    "problem": {
+        "domain": ("domain_kind", str, lambda v: v in ("interval", "ball"),
+                   "domain must be interval or ball"),
+        "a": ("a", float, None, None),
+        "b": ("b", float, None, None),
+        "radius": ("radius", float, lambda v: v > 0, "radius must be positive"),
+        "dimension": ("dimension", int, lambda v: v >= 2, "ball dimension must be >= 2"),
+        "p": ("p", float, lambda v: v > 1, "p must exceed 1"),
+        "absorption": ("absorption", str, None, None),
+        "kernel": ("kernel", str, None, None),
+        "amplitude": ("amplitude", float, lambda v: v > 0, "amplitude must be positive"),
+        "t_star": ("t_star", float, lambda v: v > 0, "t_star must be positive"),
+    },
+    "solver": {
+        "n_cells": ("n_cells", int, lambda v: v >= 8, "need at least 8 cells"),
+        "mesh_grading": ("mesh_grading", float, lambda v: v >= 1, "grading must be >= 1"),
+        "cap_base": ("cap_base", float, lambda v: v > 0, "cap_base must be positive"),
+        "cap_factor": ("cap_factor", float, lambda v: v > 1, "cap_factor must exceed 1"),
+        "cap_margin": ("cap_margin", float, lambda v: v >= 1, "cap_margin must be >= 1"),
+        "max_cap_rungs": ("max_cap_rungs", int, lambda v: v >= 2, "need >= 2 rungs"),
+        "eps_start": ("eps_start", float, lambda v: v > 0, "eps_start must be positive"),
+        "eps_factor": ("eps_factor", float, lambda v: 0 < v < 1, "eps_factor in (0,1)"),
+        "eps_rungs": ("eps_rungs", int, lambda v: v >= 0, "eps_rungs must be >= 0"),
+        "n_steps": ("n_steps", int, lambda v: v >= 4, "need at least 4 time steps"),
+        "time_grading": ("time_grading", float, lambda v: v >= 1, "time grading must be >= 1"),
+    },
+    "verification": {
+        "checks": ("checks", _parse_names, None, None),
+        "boundary_t0": ("boundary_t0", _parse_floats, None, None),
+        "initial_window": ("initial_window", _parse_floats,
+                           lambda v: len(v) == 2 and 0 < v[0] < v[1], "window must be 0 < lo < hi"),
+        "pde_rtol": ("pde_rtol", float, lambda v: v > 0, "tolerance must be positive"),
+        "sandwich_bounds": ("sandwich_bounds", _parse_floats,
+                            lambda v: len(v) == 2 and 0 < v[0] < v[1], "bounds must be 0 < lo < hi"),
+        "ladder_ratio": ("ladder_ratio", float, lambda v: v > 1, "ladder ratio must exceed 1"),
+    },
+    "output": {
+        "directory": ("directory", str, None, None),
+    },
+}
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a configuration file; raise with every violation."""
     import configparser  # only ``blowuplab run`` and ``validate`` read INI files
@@ -131,65 +162,28 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read configuration file {path}")
     violations: list[str] = []
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _GRAMMAR:
             violations.append(f"unknown section [{section}]")
             continue
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
+            if key not in _GRAMMAR[section]:
                 violations.append(f"unknown key {key!r} in [{section}]")
 
     cfg = ExperimentConfig(name=Path(path).stem)
-    get = parser.get
-
-    def take(section, key, conv, attr=None, check=None, describe=""):
-        if parser.has_option(section, key):
-            raw = get(section, key)
+    for section, keys in _GRAMMAR.items():
+        for key, (attr, conv, check, describe) in keys.items():
+            if not parser.has_option(section, key):
+                continue
+            raw = parser.get(section, key)
             try:
                 val = conv(raw)
             except (ValueError, ConfigError) as exc:
                 violations.append(f"[{section}] {key} = {raw!r}: {exc}")
-                return
+                continue
             if check is not None and not check(val):
                 violations.append(f"[{section}] {key} = {raw!r}: {describe}")
-                return
-            setattr(cfg, attr or key, val)
-
-    take("problem", "domain", str, "domain_kind",
-         check=lambda v: v in ("interval", "ball"), describe="domain must be interval or ball")
-    take("problem", "a", float)
-    take("problem", "b", float)
-    take("problem", "radius", float, check=lambda v: v > 0, describe="radius must be positive")
-    take("problem", "dimension", int, check=lambda v: v >= 2, describe="ball dimension must be >= 2")
-    take("problem", "p", float, check=lambda v: v > 1, describe="p must exceed 1")
-    take("problem", "absorption", str)
-    take("problem", "kernel", str)
-    take("problem", "amplitude", float, check=lambda v: v > 0, describe="amplitude must be positive")
-    take("problem", "horizon", float, check=lambda v: v > 0, describe="horizon must be positive")
-    take("problem", "t_star", float, check=lambda v: v > 0, describe="t_star must be positive")
-    take("problem", "allow_full_horizon", lambda s: s.strip().lower() in ("1", "true", "yes"))
-
-    take("solver", "n_cells", int, check=lambda v: v >= 8, describe="need at least 8 cells")
-    take("solver", "mesh_grading", float, check=lambda v: v >= 1, describe="grading must be >= 1")
-    take("solver", "cap_base", float, check=lambda v: v > 0, describe="cap_base must be positive")
-    take("solver", "cap_factor", float, check=lambda v: v > 1, describe="cap_factor must exceed 1")
-    take("solver", "cap_margin", float, check=lambda v: v >= 1, describe="cap_margin must be >= 1")
-    take("solver", "max_cap_rungs", int, check=lambda v: v >= 2, describe="need >= 2 rungs")
-    take("solver", "eps_start", float, check=lambda v: v > 0, describe="eps_start must be positive")
-    take("solver", "eps_factor", float, check=lambda v: 0 < v < 1, describe="eps_factor in (0,1)")
-    take("solver", "eps_rungs", int, check=lambda v: v >= 0, describe="eps_rungs must be >= 0")
-    take("solver", "n_steps", int, check=lambda v: v >= 4, describe="need at least 4 time steps")
-    take("solver", "time_grading", float, check=lambda v: v >= 1, describe="time grading must be >= 1")
-
-    take("verification", "checks", lambda s: tuple(v.strip() for v in s.split(",") if v.strip()))
-    take("verification", "boundary_t0", _parse_floats)
-    take("verification", "initial_window", _parse_floats,
-         check=lambda v: len(v) == 2 and 0 < v[0] < v[1], describe="window must be 0 < lo < hi")
-    take("verification", "pde_rtol", float, check=lambda v: v > 0, describe="tolerance must be positive")
-    take("verification", "sandwich_bounds", _parse_floats,
-         check=lambda v: len(v) == 2 and 0 < v[0] < v[1], describe="bounds must be 0 < lo < hi")
-    take("verification", "ladder_ratio", float, check=lambda v: v > 1, describe="ladder ratio must exceed 1")
-
-    take("output", "directory", str)
+                continue
+            setattr(cfg, attr, val)
 
     violations.extend(validate_semantics(cfg))
     if violations:
@@ -221,12 +215,6 @@ def validate_semantics(cfg: ExperimentConfig) -> list[str]:
                 f"index gate violated: growth index {nl.index:g} must exceed "
                 f"max{{1, p-1, p-1-(p-2)/ell}} = {bound:g} (p = {cfg.p:g}, ell = {kern.limit:g})"
             )
-    limit = cfg.horizon if cfg.allow_full_horizon else 0.9 * cfg.horizon
-    if cfg.t_star > limit:
-        out.append(
-            f"t_star = {cfg.t_star:g} exceeds the solved-window limit {limit:g} "
-            "(set allow_full_horizon to solve up to the horizon)"
-        )
     for c in cfg.checks:
         if c not in KNOWN_CHECKS:
             out.append(f"unknown verification check {c!r} (known: {', '.join(KNOWN_CHECKS)})")
@@ -256,7 +244,7 @@ def _build_problem(cfg: ExperimentConfig):
     # composition needs them beyond any finite support near the small-s end
     kern = make_kernel(cfg.kernel)
     weight = constant_weight(kern, cfg.amplitude)
-    prob = ParabolicProblem(mesh=mesh, p=cfg.p, nl=nl, weight=weight, horizon=cfg.horizon)
+    prob = ParabolicProblem(mesh=mesh, p=cfg.p, nl=nl, weight=weight)
     return dom, mesh, nl, kern, weight, prob
 
 
@@ -424,9 +412,7 @@ def _write_trajectory_csv(path: Path, prob: ParabolicProblem, fld) -> None:
     inner = d > 0.0
     prof = np.full(mesh.nodes.size, np.nan)
     prof[inner] = profile_of_distance(prob.nl, prob.p, prob.weight.kernel, d[inner])
-    x0 = 0.5 * (mesh.domain.a + mesh.domain.b) if mesh.domain.kind == "interval" else 0.0
-    i0 = int(np.argmin(np.abs(mesh.nodes - x0)))
-    b0 = float(prob.weight.values(mesh.nodes[i0:i0 + 1], d[i0:i0 + 1], 0.0, prob.p)[0])
+    _, b0 = frozen_coefficient(fld, prob)
     rows = np.nonzero(fld.times > 0.0)[0]
     t = fld.times[rows]
     xi, xis = space_free_values(prob, t)

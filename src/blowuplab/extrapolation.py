@@ -60,7 +60,7 @@ def _aitken_core(s: np.ndarray):
     return float(diagonal[k]), diagonal, deltas, k
 
 
-def aitken_limit(seq, max_levels: int | None = None) -> LadderLimit:
+def aitken_limit(seq) -> LadderLimit:
     """Iterated Aitken delta-squared acceleration of ``seq``.
 
     The uncertainty combines the agreement of neighbouring acceleration
@@ -129,17 +129,17 @@ def geometric_ladder(start: float, ratio: float, count: int) -> np.ndarray:
     return start * ratio ** np.arange(count, dtype=float)
 
 
-def log_slope_limit(fn, start: float, *, toward: str, rungs: int = 18, step: float = 2.0) -> LadderLimit:
+def log_slope_limit(fn, start: float, *, toward: str, rungs: int = 18) -> LadderLimit:
     """Extrapolated log-log slope of ``fn`` toward 0+ or infinity.
 
-    The slope between consecutive ladder points x and x*step (``toward='inf'``)
-    or x and x/step (``toward='zero'``) is accelerated with Aitken.  This
+    The slope between consecutive ladder points x and 2x (``toward='inf'``)
+    or x and x/2 (``toward='zero'``) is accelerated with Aitken.  This
     measures the local power-law index of ``fn`` at the limit point.
     """
     if toward == "inf":
-        xs = geometric_ladder(start, step, rungs + 1)
+        xs = geometric_ladder(start, 2.0, rungs + 1)
     elif toward == "zero":
-        xs = geometric_ladder(start, 1.0 / step, rungs + 1)
+        xs = geometric_ladder(start, 0.5, rungs + 1)
     else:
         raise ValueError("toward must be 'zero' or 'inf'")
     vals = np.array([fn(x) for x in xs], dtype=float)

@@ -140,7 +140,7 @@ def kernel_primitive_inverse(kernel: WeightKernel, y: float) -> float:
     return float(brentq(lambda s: kernel_primitive(kernel, s) - y, 1e-300, top, rtol=1e-13))
 
 
-def limit_estimate(kernel: WeightKernel, start: float = 1e-2, rungs: int = 16) -> LadderLimit:
+def limit_estimate(kernel: WeightKernel) -> LadderLimit:
     """Extrapolated limit of (K/k)'(s) as s -> 0+, by central differences.
 
     Must agree with the declared limit within 1e-3; the ladder (geometric,
@@ -152,7 +152,7 @@ def limit_estimate(kernel: WeightKernel, start: float = 1e-2, rungs: int = 16) -
         g = lambda x: kernel_primitive(kernel, x) / float(kernel.func(x))
         return (g(s + h) - g(s - h)) / (2.0 * h)
 
-    ladder = geometric_ladder(start, 0.5, rungs)
+    ladder = geometric_ladder(1e-2, 0.5, 16)
     vals = np.array([ratio_derivative(s) for s in ladder])
     if not np.all(np.isfinite(vals)):
         raise NumericsError("limit extrapolation diverged: non-finite samples")
@@ -219,9 +219,9 @@ class BlowupProfile:
                                otypes=[float])(arr)
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
-    def ode_residual(self, t: float, rel_step: float = 1e-4) -> float:
+    def ode_residual(self, t: float) -> float:
         """Relative defect of -phi' = (p' F(phi))**(1/p), by central differences."""
-        h = rel_step * t
+        h = 1e-4 * t
         dphi = (self.value(t + h) - self.value(t - h)) / (2.0 * h)
         rhs = (self.p_conj * primitive(self.nl, self.value(t))) ** (1.0 / self.p)
         return abs(dphi + rhs) / rhs

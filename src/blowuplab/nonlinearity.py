@@ -41,6 +41,8 @@ INDEX_MISMATCH_TOL = 1e-2
 
 DEFAULT_GRID = np.geomspace(1e-3, 1e8, 64)
 DEFAULT_INDEX_LADDER = np.geomspace(1e2, 1e8, 21)
+# the eps in (0, 1) at which the scaling bound f(u) >= eps**-l f(eps*u) is sampled
+SCALING_EPS = (0.5, 0.1, 0.01)
 
 # the table of F spans the nodes 2**k, TABLE_KMIN <= k <= TABLE_KMAX
 TABLE_KMIN, TABLE_KMAX = -30, 300
@@ -260,7 +262,6 @@ def check_conditions(
     p: float,
     grid=None,
     scaling_exponent: float | None = None,
-    eps_samples=(0.5, 0.1, 0.01),
 ) -> ConditionReport:
     """Verify the structural hypotheses of the theory on a sample grid.
 
@@ -280,7 +281,7 @@ def check_conditions(
 
     scaling_ok = l > max(1.0, p - 1.0)
     if scaling_ok:
-        for eps in eps_samples:
+        for eps in SCALING_EPS:
             lhs = f_vals
             rhs = eps ** (-l) * np.array([float(nl.func(eps * u)) for u in grid])
             if not np.all(lhs >= rhs * (1.0 - 1e-12) - MONOTONE_TOL):

@@ -88,30 +88,22 @@ def _profile_of_distance(nl: Nonlinearity, p: float, kernel: WeightKernel, d: by
     return prof
 
 
-def _distance_ladder(distances, h_local, d_hi, d_lo, ratio=2.0, rel_width=0.35):
-    """Indices of nodes closest to a geometric distance ladder, coarse to fine.
+def _geometric_picks(values: np.ndarray, usable: np.ndarray, hi: float, lo: float,
+                     ratio: float) -> np.ndarray:
+    """Indices of the entries of the increasing ``values`` nearest to hi,
+    hi/ratio, ... down to lo, coarse to fine.
 
-    Nodes whose local spacing exceeds ``rel_width`` of their distance are
-    dropped: their ratio samples carry O((h/d)^2) noise that is no longer a
-    clean geometric mode.
+    An entry is skipped where ``usable`` is False, or when it repeats the
+    previous pick; the picks strictly decrease.
     """
-    order = np.argsort(distances)
-    ds = distances[order]
-    hs = h_local[order]
-    idx = []
-    target = d_hi
-    while target >= d_lo * 0.999:
-        j = int(np.argmin(np.abs(ds - target)))
-        if hs[j] <= rel_width * ds[j] and (not idx or order[j] != idx[-1]):
-            idx.append(order[j])
+    picks: list[int] = []
+    target = hi
+    while target >= lo * 0.999:
+        j = int(np.argmin(np.abs(values - target)))
+        if usable[j] and (not picks or picks[-1] != j):
+            picks.append(j)
         target /= ratio
-    # ladder was built coarse -> fine; keep it that way but deduplicate
-    seen, out = set(), []
-    for i in idx:
-        if i not in seen:
-            seen.add(i)
-            out.append(i)
-    return out
+    return np.array(picks, dtype=int)
 
 
 def _local_spacing(nodes: np.ndarray) -> np.ndarray:
@@ -160,9 +152,12 @@ def boundary_rate(
         d_hi, d_lo = 0.25 * half, 0.0
     else:
         d_lo, d_hi = d_window
-    picks = _distance_ladder(d_all[cand], h_all[cand], d_hi, max(d_lo, d_all[cand].min()),
-                             ratio=ladder_ratio)
-    picks = [cand[i] for i in picks]
+    order = cand[np.argsort(d_all[cand])]  # candidate nodes by increasing distance
+    ds = d_all[order]
+    # a node whose local spacing exceeds 0.35 of its distance carries
+    # O((h/d)^2) noise in its ratio, which is no longer a clean geometric mode
+    usable = h_all[order] <= 0.35 * ds
+    picks = order[_geometric_picks(ds, usable, d_hi, max(d_lo, ds[0]), ladder_ratio)]
     if len(picks) < 4:
         raise DomainError(
             "fewer than 4 usable ladder rungs near the boundary; refine the mesh grading"
@@ -220,6 +215,21 @@ def _problem_data(prob, side, t_used):
     raise DomainError(f"unsupported problem type {type(prob).__name__}")
 
 
+def frozen_coefficient(fld: SpaceTimeField, prob: ParabolicProblem,
+                       x0: float | None = None) -> tuple[int, float]:
+    """The node i0 nearest x0 and the weight b there at t = 0, as (i0, b0).
+
+    x0 defaults to the interval midpoint or the ball centre.
+    """
+    mesh = fld.mesh
+    dom = mesh.domain
+    if x0 is None:
+        x0 = 0.5 * (dom.a + dom.b) if dom.kind == "interval" else 0.0
+    i0 = fld.node_index(x0)
+    d = mesh.boundary_distance()
+    return i0, float(prob.weight.values(mesh.nodes[i0:i0 + 1], d[i0:i0 + 1], 0.0, prob.p)[0])
+
+
 def initial_rate(
     fld: SpaceTimeField,
     prob: ParabolicProblem,
@@ -236,25 +246,16 @@ def initial_rate(
     """
     mesh = fld.mesh
     dom = mesh.domain
-    if x0 is None:
-        x0 = 0.5 * (dom.a + dom.b) if dom.kind == "interval" else 0.0
-    i0 = fld.node_index(x0)
+    i0, b0 = frozen_coefficient(fld, prob, x0)
     d_all = mesh.boundary_distance()
     if d_all[i0] < 0.25 * d_all.max():
         raise DomainError(
-            f"evaluation point x0 = {x0:g} sits in the boundary layer; pick a deeper point"
+            f"evaluation point x0 = {mesh.nodes[i0]:g} sits in the boundary layer; pick a deeper point"
         )
 
-    b0 = float(prob.weight.values(np.array([mesh.nodes[i0]]), np.array([d_all[i0]]), 0.0, prob.p)[0])
-
     t_lo, t_hi = t_window
-    picks: list[int] = []
-    target = t_hi
-    while target >= t_lo * 0.999:
-        j = int(np.argmin(np.abs(fld.times - target)))
-        if j > 0 and (not picks or picks[-1] != j):
-            picks.append(j)
-        target /= ladder_ratio
+    usable = np.arange(fld.times.size) > 0
+    picks = _geometric_picks(fld.times, usable, t_hi, t_lo, ladder_ratio)
     if len(picks) < 4:
         raise DomainError("time grid too coarse in the requested early-time window")
     t_ladder = fld.times[picks]
@@ -422,21 +423,19 @@ def uniqueness_gap(
     lower_fld: SpaceTimeField,
     upper_fld: SpaceTimeField,
     prob: ParabolicProblem | None = None,
-    core_distance: float | None = None,
     t_min: float | None = None,
 ) -> GapReport:
     """max (upper - lower)/lower over a fixed interior core.
 
-    The core (default: distance >= 10% of the diameter, t >= 10% of the
-    horizon) is held fixed under refinement so the collar of the shrunken
-    domains leaves the measurement.  Uniqueness is asserted only under the
+    The core (distance >= 10% of the diameter; by default t >= 10% of the
+    field's last time) is held fixed under refinement so the collar of the
+    shrunken domains leaves the measurement.  Uniqueness is asserted only under the
     hypotheses p = 2, constant kernel, convex absorption; otherwise the gap
     is still reported but flagged as not asserted.
     """
     mesh = lower_fld.mesh
     d = mesh.boundary_distance()
-    if core_distance is None:
-        core_distance = 0.1 * mesh.domain.diameter
+    core_distance = 0.1 * mesh.domain.diameter
     if t_min is None:
         t_min = 0.1 * float(lower_fld.times[-1])
     nmask = d >= core_distance

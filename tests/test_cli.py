@@ -22,7 +22,6 @@ MINIMAL = textwrap.dedent("""
     absorption = power(2)
     kernel = const
     amplitude = 1.0
-    horizon = 0.5
     t_star = 0.2
 
     [solver]
@@ -119,17 +118,77 @@ def test_readme_configuration_is_valid(tmp_path):
     assert cfg.eps_rungs == 3
 
 
-def test_t_star_window_gate(tmp_path):
-    p = tmp_path / "win.cfg"
-    p.write_text(MINIMAL.replace("t_star = 0.2", "t_star = 0.49"))
+def test_horizon_keys_are_unknown(tmp_path, capsys):
+    # t_star is the solved window; no computation reads a horizon
+    p = tmp_path / "horizon.cfg"
+    p.write_text(MINIMAL.replace("[problem]", "[problem]\nhorizon = 0.5\nallow_full_horizon = true"))
     with pytest.raises(ConfigError) as err:
         load_config(p)
-    assert any("allow_full_horizon" in s for s in err.value.violations)
-    p.write_text(MINIMAL.replace("t_star = 0.2", "t_star = 0.49")
-                 .replace("[problem]", "[problem]\nallow_full_horizon = true")
-                 .replace("boundary_t0 = 0.1", "boundary_t0 = 0.1, 0.4"))
-    cfg = load_config(p)
-    assert cfg.t_star == 0.49
+    assert err.value.violations == ["unknown key 'horizon' in [problem]",
+                                    "unknown key 'allow_full_horizon' in [problem]"]
+    assert main(["validate", str(p)]) == 2
+    assert "unknown key 'horizon' in [problem]" in capsys.readouterr().out
+
+
+EVERY_KEY = textwrap.dedent("""
+    [problem]
+    domain = ball
+    a = -1.0
+    b = 2.0
+    radius = 2.0
+    dimension = 3
+    p = 2.5
+    absorption = power(3)
+    kernel = power(1)
+    amplitude = 3.0
+    t_star = 0.3
+
+    [solver]
+    n_cells = 64
+    mesh_grading = 1.5
+    cap_base = 5.0
+    cap_factor = 3.0
+    cap_margin = 2.0
+    max_cap_rungs = 50
+    eps_start = 0.02
+    eps_factor = 0.25
+    eps_rungs = 5
+    n_steps = 40
+    time_grading = 1.5
+
+    [verification]
+    checks = sandwich, uniqueness
+    boundary_t0 = 0.05, 0.15
+    initial_window = 2e-3, 5e-2
+    pde_rtol = 0.2
+    sandwich_bounds = 1e-2, 1e2
+    ladder_ratio = 3.0
+
+    [output]
+    directory = results
+""")
+
+
+def test_every_key_loads_into_its_attribute(tmp_path):
+    expected = {
+        "domain_kind": "ball", "a": -1.0, "b": 2.0, "radius": 2.0, "dimension": 3, "p": 2.5,
+        "absorption": "power(3)", "kernel": "power(1)", "amplitude": 3.0, "t_star": 0.3,
+        "n_cells": 64, "mesh_grading": 1.5, "cap_base": 5.0, "cap_factor": 3.0,
+        "cap_margin": 2.0, "max_cap_rungs": 50, "eps_start": 0.02, "eps_factor": 0.25,
+        "eps_rungs": 5, "n_steps": 40, "time_grading": 1.5,
+        "checks": ("sandwich", "uniqueness"), "boundary_t0": (0.05, 0.15),
+        "initial_window": (2e-3, 5e-2), "pde_rtol": 0.2, "sandwich_bounds": (1e-2, 1e2),
+        "ladder_ratio": 3.0, "directory": "results",
+    }
+    p = tmp_path / "every.cfg"
+    p.write_text(EVERY_KEY)
+    # the file sets every key of the grammar, each to a value other than its default
+    written = {line.split(" = ")[0] for line in EVERY_KEY.splitlines() if " = " in line}
+    assert written == {key for keys in experiment._GRAMMAR.values() for key in keys}
+    cfg, default = load_config(p), ExperimentConfig()
+    for attr, value in expected.items():
+        assert getattr(default, attr) != value, attr
+        assert getattr(cfg, attr) == value, attr
 
 
 def test_validate_subcommand(minimal_cfg, capsys):
@@ -185,9 +244,11 @@ def test_run_is_deterministic(minimal_cfg, tmp_path):
     assert digest(out1) == digest(out2)
 
 
-def test_tightened_tolerance_fails_but_retains_reports(minimal_cfg, tmp_path):
+def test_tightened_tolerance_fails_but_retains_reports(tmp_path):
     out = tmp_path / "strict"
-    rc = main(["--out", str(out), "--tolerance-scale", "0.002", "run", str(minimal_cfg)])
+    p = tmp_path / "strict.cfg"
+    p.write_text(MINIMAL.replace("pde_rtol = 0.15", "pde_rtol = 0.0003"))
+    rc = main(["--out", str(out), "run", str(p)])
     assert rc == 1
     rates = (out / "rates.csv").read_text().splitlines()
     assert len(rates) >= 2  # reports retained
@@ -225,6 +286,13 @@ def test_power_log_suite_passes_every_rate(tmp_path):
 def test_unknown_suite_rejected():
     with pytest.raises(SystemExit):
         main(["suite", "nonexistent"])
+
+
+def test_tolerance_scale_flag_is_rejected(minimal_cfg, tmp_path):
+    # each configuration sets its own pass tolerance (pde_rtol)
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "--tolerance-scale", "0.5", "run", str(minimal_cfg)])
+    assert exc.value.code == 2
 
 
 def test_empty_reports_summary(tmp_path):
