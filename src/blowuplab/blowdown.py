@@ -1,20 +1,20 @@
-"""Blow-down ODEs: w' = -g(w) with infinite initial data.
+"""Blow-down curves: w' = -g(w) with infinite initial data.
 
 The solution is never time-stepped from a large cap (that would carry an
 initial-layer error of order cap**(1-gamma)).  Instead it is represented
 through the first integral
 
-    G(w) = integral_w^inf ds / g(s),
+    G(w) = integral_w^inf h(s) ds,      h = 1/g ~ s**(-decay),
 
 which satisfies G(w(t)) = t exactly, so w(t) = G^{-1}(t).  For a pure power
-g = c w**rho (a Nonlinearity with a pure-power primitive) G inverts exactly,
-w(t) = ((rho-1) c t)**(-1/(rho-1)).  For any other Nonlinearity, G is read
+G = a w**(-e) and w(t) = (a/t)**(1/e); for any other Nonlinearity, G is read
 from a table of G(2**k) built once per absorption (``quadutil.TailTable``),
 so each evaluation is one Gauss-Legendre panel; for a plain callable g, and
 outside the table, G is an adaptive tail quadrature.  Either way G is
 inverted by bracketing and Brent's method.  The tail integral demands g to
 grow faster than linearly; the growth index is either declared or measured
-on the fly.
+on the fly.  The blow-up profile phi is the blow-down curve of
+g = (p' F)**(1/p), so ``karamata.BlowupProfile`` is a ``BlowdownCurve``.
 """
 
 from __future__ import annotations
@@ -31,57 +31,76 @@ from .quadutil import TailTable, invert_decreasing, upper_tail_integral
 
 
 class BlowdownCurve:
-    """Decreasing curve w(t) with w' = -g(w) and w(0+) = infinity."""
+    """Decreasing curve w(t) with w' = -g(w) and w(0+) = infinity: ``value``
+    inverts ``first_integral``, G.  A subclass supplies its own h, closed form
+    and table through ``_integrand``, ``_closed`` and ``_tail_sources``."""
 
     def __init__(self, g, index: float | None = None, name: str = "blowdown"):
-        self._power = None  # (rho, c) when g = c * w**rho exactly
+        self._closed = None  # (a, e) when G(w) = a * w**(-e) exactly
         self._nl = None  # the absorption whose table of G serves first_integral
+        power = None
         if isinstance(g, Nonlinearity):
-            self.g = g.func
-            index = g.index if index is None else index
-            name = g.name
-            if g.primitive_power is not None:
-                coef, expo = g.primitive_power
-                self._power = (expo - 1.0, coef * expo)
+            nl, g = g, g.func
+            index = nl.index if index is None else index
+            name = nl.name
+            if nl.primitive_power is None:
+                self._nl = nl
             else:
-                self._nl = g
-        else:
-            self.g = g
+                power = nl.primitive_power
         if index is None:
-            index = rv_index_estimate(self.g)
+            index = rv_index_estimate(g)
         if index <= 1.0 + 1e-12:
             raise ConfigError(
                 f"growth index {index:g} of {name} makes the tail of 1/g non-integrable"
             )
-        self.index = float(index)
+        self.g = g
+        self.decay = float(index)  # of h = 1/g
         self.name = name
+        if power is not None:
+            coef, expo = power  # g = c * w**rho with rho = expo - 1 and c = coef * expo
+            rho = expo - 1.0
+            self._closed = (1.0 / ((rho - 1.0) * coef * expo), rho - 1.0)
+
+    def _integrand(self, s: float) -> float:
+        return 1.0 / float(self.g(s))
+
+    def _tail_sources(self):
+        """The table of G (or None) and the tail quadrature, looked up in this
+        module at each call so that replacing either here reaches every curve."""
+        table = None if self._nl is None else _first_integral_table(self._nl, self.decay)
+        return table, upper_tail_integral
+
+    def _inverted(self):
+        """The bound method that ``value`` inverts."""
+        return self.first_integral
 
     def first_integral(self, w: float) -> float:
-        """G(w) = integral of 1/g from w to infinity: from the table of G for a
-        Nonlinearity without a pure-power primitive, else (and outside the
-        table) by adaptive quadrature."""
+        """G(w) = integral of h from w to infinity: the closed form for a pure
+        power, else from the table of G where there is one, else (and outside
+        the table) by adaptive quadrature."""
         if w <= 0.0:
-            raise DomainError(f"first integral needs w > 0, got {w:g}")
-        if self._nl is not None:
-            t = _first_integral_table(self._nl, self.index)(w)
-            if t is not None:
-                return t
-        return upper_tail_integral(lambda s: 1.0 / float(self.g(s)), w, self.index)
+            raise DomainError(f"first integral of {self.name} needs w > 0, got {w:g}")
+        if self._closed is not None:
+            a, e = self._closed
+            return a * w ** -e
+        table, quadrature = self._tail_sources()
+        t = None if table is None else table(w)
+        return quadrature(self._integrand, w, self.decay) if t is None else t
 
     def value(self, t):
-        """w(t): closed form for a pure power, else G^{-1}(t) by bracketing and Brent."""
+        """w(t): (a/t)**(1/e) for a pure power, else G^{-1}(t) by bracketing and Brent."""
         arr = np.asarray(t, dtype=float)
         if np.any(arr <= 0.0):
-            raise DomainError("blow-down time must be positive")
-        if self._power is not None:
-            rho, c = self._power
+            raise DomainError(f"argument of {self.name} must be positive")
+        if self._closed is not None:
+            a, e = self._closed
             with np.errstate(over="ignore"):
-                out = ((rho - 1.0) * c * arr) ** (-1.0 / (rho - 1.0))
+                out = (a / arr) ** (1.0 / e)
             if not np.all(np.isfinite(out)):
-                raise NumericsError(f"blow-down value of {self.name} overflows at t = {arr.min():g}")
+                raise NumericsError(f"value of {self.name} overflows at t = {arr.min():g}")
         else:
-            out = np.vectorize(lambda tv: invert_decreasing(self.first_integral, tv),
-                               otypes=[float])(arr)
+            inverted = self._inverted()
+            out = np.vectorize(lambda tv: invert_decreasing(inverted, tv), otypes=[float])(arr)
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
     def ode_residual(self, t: float) -> float:

@@ -136,7 +136,7 @@ class Discretization:
         w += eps * eps
         return du, w
 
-    def residual(self, u, *, weight, f, fp, source=None, mass_coef=0.0, u_prev=None,
+    def residual(self, u, *, weight, f, source=None, mass_coef=0.0, u_prev=None,
                  dirichlet_val=None, eps: float | None = None):
         """Residual of  mass*(u-u_prev) - div flux + weight*f(u) - source  and its scale.
 
@@ -256,9 +256,8 @@ def _newton_single(disc, u, *, weight, f, fp, source, mass_coef, u_prev,
     merit_hist = []
     # residual is a pure function of u and the frozen arguments, so the
     # (R, scale) of an accepted line-search point is carried over, not recomputed
-    R, scale = disc.residual(u, weight=weight, f=f, fp=fp, source=source,
-                             mass_coef=mass_coef, u_prev=u_prev,
-                             dirichlet_val=dirichlet_val, eps=eps)
+    R, scale = disc.residual(u, weight=weight, f=f, source=source, mass_coef=mass_coef,
+                             u_prev=u_prev, dirichlet_val=dirichlet_val, eps=eps)
     for it in range(MAX_NEWTON):
         # the scaling weights are frozen per iteration: re-scaling inside the
         # line search would hide genuine residual decrease
@@ -299,10 +298,9 @@ def _newton_single(disc, u, *, weight, f, fp, source, mass_coef, u_prev,
             if (u_try < 0.0).any():
                 info["projections"] += 1
                 np.maximum(u_try, 0.0, out=u_try)
-            R_try, scale_try = disc.residual(u_try, weight=weight, f=f, fp=fp,
-                                             source=source, mass_coef=mass_coef,
-                                             u_prev=u_prev, dirichlet_val=dirichlet_val,
-                                             eps=eps)
+            R_try, scale_try = disc.residual(u_try, weight=weight, f=f, source=source,
+                                             mass_coef=mass_coef, u_prev=u_prev,
+                                             dirichlet_val=dirichlet_val, eps=eps)
             scaled = R_try * wts
             merit_try = math.sqrt(scaled.dot(scaled))
             if math.isfinite(merit_try) and merit_try < ls_merit * (1.0 - 1e-3 * lam) + 1e-16:

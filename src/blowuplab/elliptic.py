@@ -190,8 +190,7 @@ def elliptic_comparison_check(
     src = prob.source_values()
 
     def scaled_residual(g: GridFunction) -> np.ndarray:
-        R, scale = disc.residual(g.values, weight=weight, f=prob.nl.func, fp=prob.nl.deriv,
-                                 source=src)
+        R, scale = disc.residual(g.values, weight=weight, f=prob.nl.func, source=src)
         out = R / (1.0 + scale)
         out[list(prob.mesh.boundary_idx)] = 0.0
         return out

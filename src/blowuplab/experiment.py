@@ -156,7 +156,9 @@ def load_config(path) -> ExperimentConfig:
     """Parse and validate a configuration file; raise with every violation."""
     import configparser  # only ``blowuplab run`` and ``validate`` read INI files
 
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no header can name a section "\n": [DEFAULT] is then an unknown section
+    # like any other, and its keys reach no other section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="\n")
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read configuration file {path}")

@@ -10,7 +10,7 @@ expose convergence evidence instead of a bare number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class LadderLimit:
     iterates: np.ndarray  # acceleration diagonal around the selected level
     converged: bool
     uncertainty: float = np.inf
-    raw: np.ndarray = field(repr=False, default=None)
 
     def __float__(self) -> float:
         return self.value
@@ -77,7 +76,7 @@ def aitken_limit(seq) -> LadderLimit:
     value, diagonal, deltas, k = _aitken_core(s)
     if k == 0:
         return LadderLimit(value=value, iterates=diagonal, converged=False,
-                           uncertainty=np.inf, raw=s)
+                           uncertainty=np.inf)
     # error bar: the inter-level gap alone is pessimistic (the discarded level
     # is the worse estimate), the jackknife alone is optimistic (sub-ladders
     # share data); their geometric mean calibrates well on both counts
@@ -95,7 +94,7 @@ def aitken_limit(seq) -> LadderLimit:
     converged = bool((settled or shrinking or beat_raw)
                      and _structured_tail(s, value, uncertainty))
     return LadderLimit(value=value, iterates=diagonal[max(0, k - 2):k + 1],
-                       converged=converged, uncertainty=uncertainty, raw=s)
+                       converged=converged, uncertainty=uncertainty)
 
 
 def _structured_tail(s: np.ndarray, value: float, uncertainty: float) -> bool:

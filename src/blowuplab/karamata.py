@@ -10,12 +10,14 @@ The blow-up profile is the decreasing function phi defined by
     integral_{phi(t)}^inf  ds / (p' F(s))**(1/p)  =  t,      p' = p/(p-1),
 
 where F is the primitive of the absorption f.  The boundary rate of a
-blow-up solution is phi(K(d)) up to an explicit constant.  phi is computed
-by inverting the tail integral, never by time-stepping from infinity.  For
-a pure power the tail integral and its inverse are closed forms; otherwise
-the tail integral is read from a table of its values at 2**k, built once
-per absorption and p (``quadutil.TailTable``), with adaptive quadrature
-outside the table.
+blow-up solution is phi(K(d)) up to an explicit constant.  Differentiating
+gives phi' = -(p' F(phi))**(1/p) with phi(0+) = inf, so phi is the blow-down
+curve of g = (p' F)**(1/p), and ``BlowupProfile`` is a
+``blowdown.BlowdownCurve`` that inverts its tail time T, never time-stepping
+from infinity.  It supplies only the integrand (p' F)**(-1/p), the closed
+form of T for a pure power, and the table of T(2**k) built once per
+absorption and p (``quadutil.TailTable``); the checks, the inversion and
+the quadrature outside the table are the curve's.
 
 The effective absorption  (k o K^{-1} o phi^{-1})(s)**p * f(s)  transfers
 the kernel's boundary degeneracy onto the absorption; its growth index is
@@ -31,10 +33,11 @@ from typing import Callable
 
 import numpy as np
 
+from .blowdown import BlowdownCurve
 from .errors import ConfigError, DomainError, NumericsError
 from .extrapolation import LadderLimit, aitken_limit, geometric_ladder
 from .nonlinearity import TABLE_KMIN, Nonlinearity, blowup_order, primitive, primitive_table_top
-from .quadutil import TailTable, brentq, integral_on_interval, invert_decreasing, upper_tail_integral
+from .quadutil import TailTable, brentq, integral_on_interval, upper_tail_integral
 
 
 @dataclass(frozen=True)
@@ -164,15 +167,12 @@ def limit_estimate(kernel: WeightKernel) -> LadderLimit:
     return est
 
 
-class BlowupProfile:
-    """The decreasing profile whose remaining tail time at height y is t.
+class BlowupProfile(BlowdownCurve):
+    """phi, the blow-down curve of g = (p' F)**(1/p).
 
-    ``tail_time(y)`` evaluates T(y) = integral_y^inf (p' F(s))**(-1/p) ds,
-    and ``value(t)`` inverts it.  A pure-power primitive gives closed forms.
-    Otherwise T is read from the table of T(2**k) for this absorption and p
-    plus one Gauss-Legendre panel, and outside the table's trusted nodes it is
-    evaluated by adaptive quadrature with a substitution matched to the
-    declared decay index.
+    ``tail_time`` is its first integral T(y) = integral_y^inf (p' F(s))**(-1/p) ds,
+    and ``value`` inverts it.  Outside the table's trusted nodes T is an
+    adaptive quadrature matched to the decay index (rho + 1)/p.
     """
 
     def __init__(self, nl: Nonlinearity, p: float):
@@ -181,50 +181,27 @@ class BlowupProfile:
         self.nl = nl
         self.p = float(p)
         self.p_conj = p / (p - 1.0)
-        self.decay = (nl.index + 1.0) / p  # integrand ~ s**(-decay)
-        if self.decay <= 1.0 + 1e-12:
-            raise ConfigError(
-                f"tail of F**(-1/p) not integrable for index {nl.index:g}, p = {p:g}"
-            )
+        super().__init__(self._g, index=(nl.index + 1.0) / p,
+                         name=f"the profile of {nl.name} at p = {p:g}")
         if nl.primitive_power is not None:
             coef, expo = nl.primitive_power
             a = expo / p
-            self._amp = (self.p_conj * coef) ** (-1.0 / p) / (a - 1.0)
-            self._expo = a - 1.0  # T(y) = amp * y**(-expo)
-        else:
-            self._amp = None
-            self._expo = None
+            self._closed = ((self.p_conj * coef) ** (-1.0 / p) / (a - 1.0), a - 1.0)
 
-    def _integrand(self, s: float) -> float:
+    def _g(self, s):
+        return (self.p_conj * primitive(self.nl, s)) ** (1.0 / self.p)
+
+    def _integrand(self, s):
         return (self.p_conj * primitive(self.nl, s)) ** (-1.0 / self.p)
 
-    def tail_time(self, y: float) -> float:
-        """T(y); strictly decreasing in y."""
-        if y <= 0.0:
-            raise DomainError(f"profile height must be positive, got {y:g}")
-        if self._amp is not None:
-            return self._amp * y ** (-self._expo)
-        t = _tail_time_table(self.nl, self.p)(y)
-        return upper_tail_integral(self._integrand, y, self.decay) if t is None else t
+    def _tail_sources(self):
+        return _tail_time_table(self.nl, self.p), upper_tail_integral
 
-    def value(self, t):
-        """phi(t): the unique height whose tail time equals t."""
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr <= 0.0):
-            raise DomainError("profile argument must be positive")
-        if self._amp is not None:
-            out = (self._amp / arr) ** (1.0 / self._expo)
-        else:
-            out = np.vectorize(lambda tv: invert_decreasing(self.tail_time, tv),
-                               otypes=[float])(arr)
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+    def _inverted(self):
+        return self.tail_time
 
-    def ode_residual(self, t: float) -> float:
-        """Relative defect of -phi' = (p' F(phi))**(1/p), by central differences."""
-        h = 1e-4 * t
-        dphi = (self.value(t + h) - self.value(t - h)) / (2.0 * h)
-        rhs = (self.p_conj * primitive(self.nl, self.value(t))) ** (1.0 / self.p)
-        return abs(dphi + rhs) / rhs
+    # T is the first integral G of g, under the name that callers and bench/tracing.py use
+    tail_time = BlowdownCurve.first_integral
 
 
 @lru_cache(maxsize=32)
@@ -362,8 +339,6 @@ def cap_ceiling(
     # phi is decreasing, so its largest nodal value is phi at the smallest argument
     top = float(_profile(nl, p).value(arg.min()))
     if dt_first is not None:
-        from .blowdown import BlowdownCurve
-
         b_min = float(np.min(amp * np.asarray(kernel.func(d_domain), dtype=float) ** p))
         if b_min > 0.0:
             top += BlowdownCurve(nl).value(b_min * dt_first)

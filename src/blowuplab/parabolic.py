@@ -328,9 +328,8 @@ def parabolic_comparison_check(upper: SpaceTimeField, lower: SpaceTimeField,
             dt = fld.times[j] - fld.times[j - 1]
             w = prob.weight_on(fld.mesh.nodes, fld.times[j])
             src = prob.source_on(fld.mesh.nodes, fld.times[j])
-            R, scale = disc.residual(fld.values[j], weight=w, f=prob.nl.func,
-                                     fp=prob.nl.deriv, source=src, mass_coef=1.0 / dt,
-                                     u_prev=fld.values[j - 1])
+            R, scale = disc.residual(fld.values[j], weight=w, f=prob.nl.func, source=src,
+                                     mass_coef=1.0 / dt, u_prev=fld.values[j - 1])
             s = R / (1.0 + scale)
             worst = np.maximum(worst, s)
             worst_neg = np.minimum(worst_neg, s)

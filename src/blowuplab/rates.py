@@ -41,7 +41,6 @@ class RateReport:
     tolerance: float
     converged: bool
     passed: bool
-    method: str = "iterated-aitken/log-ladder"
     details: dict = field(default_factory=dict)
 
     @property

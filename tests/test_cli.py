@@ -130,6 +130,16 @@ def test_horizon_keys_are_unknown(tmp_path, capsys):
     assert "unknown key 'horizon' in [problem]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("defaults", ["t_star = 0.1", "n_cells = 64"])
+def test_default_section_is_refused_by_name(tmp_path, defaults):
+    # configparser would apply [DEFAULT]'s keys to every section
+    p = tmp_path / "defaults.cfg"
+    p.write_text(f"[DEFAULT]\n{defaults}\n" + MINIMAL.replace("t_star = 0.2\n", ""))
+    with pytest.raises(ConfigError) as err:
+        load_config(p)
+    assert err.value.violations == ["unknown section [DEFAULT]"]
+
+
 EVERY_KEY = textwrap.dedent("""
     [problem]
     domain = ball

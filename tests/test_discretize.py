@@ -24,13 +24,13 @@ def test_newton_evaluates_one_residual_per_iteration(monkeypatch):
     nl = power(2)
     x = mesh.nodes
     u_prev = 10.0 * (1.0 + 4.0 * x * (1.0 - x))
-    kw = dict(weight=np.ones_like(x), f=nl.func, fp=nl.deriv, mass_coef=1.0 / 0.05,
+    kw = dict(weight=np.ones_like(x), f=nl.func, mass_coef=1.0 / 0.05,
               u_prev=u_prev, dirichlet_val=u_prev)
     calls = []
     real = Discretization.residual
     monkeypatch.setattr(Discretization, "residual",
                         lambda self, u, **k: calls.append(1) or real(self, u, **k))
-    u, info = newton_solve(disc, u_prev, **kw)
+    u, info = newton_solve(disc, u_prev, fp=nl.deriv, **kw)
     k = info["iterations"]
     assert k >= 2 and info["projections"] == 0
     # the residual at each accepted point is reused by the next iteration
@@ -41,7 +41,7 @@ def test_newton_evaluates_one_residual_per_iteration(monkeypatch):
 
 # -- reference kernel: the 3 x n band matrix solved by scipy.linalg.solve_banded --
 
-def _reference_residual(disc, u, *, weight, f, fp=None, source=None, mass_coef=0.0,
+def _reference_residual(disc, u, *, weight, f, source=None, mass_coef=0.0,
                         u_prev=None, dirichlet_val=None, eps):
     du = np.diff(u) / disc.h_face
     if disc.p == 2.0:
@@ -216,9 +216,10 @@ def test_newton_matches_band_matrix_reference_bit_for_bit(case):
     assert info["iterations"] >= 2
     # the residual, its scale and the Jacobian diagonals, off the solve's path too
     eps = 10.0 * disc.eps_reg
+    res_kw = {k: val for k, val in kw.items() if k != "fp"}  # the residual has no Jacobian input
     for v in (u0, 0.5 * (u0 + u)):
-        for got, ref in zip(disc.residual(v, eps=eps, **kw),
-                            _reference_residual(disc, v, eps=eps, **kw)):
+        for got, ref in zip(disc.residual(v, eps=eps, **res_kw),
+                            _reference_residual(disc, v, eps=eps, **res_kw)):
             assert np.array_equal(got, ref)
         ab = _reference_band_matrix(disc, v, weight=kw["weight"], fp=kw["fp"],
                                     mass_coef=kw["mass_coef"],

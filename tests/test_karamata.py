@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from blowuplab import karamata
-from blowuplab.errors import ConfigError, DomainError
+from blowuplab.blowdown import BlowdownCurve
+from blowuplab.errors import ConfigError, DomainError, NumericsError
 from blowuplab.extrapolation import log_slope_limit
 from blowuplab.geometry import build_graded_mesh, interval
 from blowuplab.karamata import (
@@ -26,7 +27,7 @@ from blowuplab.karamata import (
     profile_inverse,
     profile_value,
 )
-from blowuplab.nonlinearity import power, power_log, rv_index_estimate
+from blowuplab.nonlinearity import power, power_log, primitive, rv_index_estimate
 from blowuplab.quadutil import upper_tail_integral
 
 ROOT6 = math.sqrt(6.0)
@@ -188,6 +189,33 @@ def test_profile_ode_residual():
     prof = BlowupProfile(power(2), 2.0)
     for t in (0.3, 1.0, 3.0):
         assert prof.ode_residual(t) < 1e-6
+
+
+@pytest.mark.parametrize("nl", [power_log(2), power_log(3), power(3)], ids=lambda nl: nl.name)
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_profile_is_the_blowdown_curve_of_its_g(nl, p):
+    # phi' = -(p' F(phi))**(1/p): phi is the blow-down curve of g = (p' F)**(1/p),
+    # here inverted by adaptive quadrature of 1/g, with no closed form or table
+    p_conj = p / (p - 1.0)
+    g = lambda s: (p_conj * float(primitive(nl, s))) ** (1.0 / p)
+    index = (nl.index + 1.0) / p
+    if index <= 1.0:  # power_log(2) at p = 3: both refuse the tail
+        for build in (lambda: BlowupProfile(nl, p), lambda: BlowdownCurve(g, index=index)):
+            with pytest.raises(ConfigError):
+                build()
+        return
+    t = np.array([0.3, 0.4, 0.5])
+    np.testing.assert_allclose(BlowupProfile(nl, p).value(t), BlowdownCurve(g, index=index).value(t),
+                               rtol=1e-10, atol=0.0)
+
+
+def test_profile_closed_form_overflow_is_a_numerics_error():
+    prof = BlowupProfile(power(2), 2.0)  # phi(t) = 6 / t**2
+    with pytest.raises(NumericsError):
+        prof.value(1e-200)
+    with pytest.raises(NumericsError):
+        prof.value(np.array([1e-200, 1.0]))
+    assert prof.value(1e-100) == pytest.approx(6e200, rel=1e-12)
 
 
 def test_profile_rejects_bad_arguments():
