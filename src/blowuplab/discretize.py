@@ -23,28 +23,35 @@ are assembled with few numpy temporaries, but with the floating-point
 operations, and their order, of the plain formulas, so iterates do not
 change in any bit.
 
-A Newton system is solved by LAPACK ``gtsv`` called directly, without
-scipy's validation layer (the routine ``scipy.linalg.solve_banded``
-dispatches to for one lower and one upper band, so iterates are the same to
-the bit); the solver checks the system itself and reports a non-finite one
-as a ``SolverError``.
+A ``Discretization`` keeps the four rows of its Newton systems (the three
+diagonals and the right-hand side) as one ``Tridiagonal``, allocated on
+first use.  Every iteration writes the Jacobian, its row equilibration and
+the right-hand side into those rows, and LAPACK ``gtsv`` (the routine ``scipy.linalg.solve_banded`` dispatches to for one
+lower and one upper band, so iterates are the same to the bit) solves the
+system in place.  The solver checks the system itself and reports a
+non-finite one as a ``SolverError``.
 
-``gtsv`` is taken from scipy's compiled ``_flapack`` extension, loaded by
-``scipyext.load_extension`` without ``scipy.linalg``'s package init, which
-clones numpy's namespace (pulling in ``numpy.f2py``, ``numpy.testing``,
-``numpy.random`` and ``numpy.ma``) and, with scipy 1.17 on a 2-core x86-64
-machine, costs about 0.3 s and 20 MB per run, and without ``scipy``'s own
-init (13-16 ms and 1.3 MB more), so a solver session that never integrates
-leaves ``scipy`` unloaded.  A later ``import scipy.linalg`` reuses that
-module; a build without the extension file (editable or meson), or one whose
-file loads only after scipy's init, imports it through ``scipy.linalg``.
+``gtsv`` is the ``dgtsv`` of the OpenBLAS that numpy's wheels bundle
+(``numpy.libs``, or ``numpy/.dylibs`` on macOS), which ``import numpy`` has
+already mapped.  It is called through ``ctypes`` with the rows' addresses,
+taken once per ``Tridiagonal``.  So a solver session maps no second
+OpenBLAS and imports no scipy module: ``scipy.linalg._flapack`` links
+scipy's own copy of OpenBLAS, and loading it took 4-6 ms and 2.7 MB of
+resident memory on a 2-core x86-64 machine (numpy 2.4, scipy 1.17).  A
+numpy build that bundles no OpenBLAS (conda with MKL, a system BLAS, macOS
+Accelerate) takes ``dgtsv`` from ``scipy.linalg._flapack`` instead, loaded
+by ``scipyext.load_extension`` without the package inits of
+``scipy.linalg`` and ``scipy``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,11 +59,122 @@ from .errors import SolverError
 from .geometry import Mesh
 from .scipyext import load_extension
 
-dgtsv = load_extension("scipy.linalg._flapack").dgtsv
-
 NEWTON_RTOL = 1e-10
 MAX_NEWTON = 200
 MAX_BACKTRACK = 30
+
+# dgtsv's symbol in the OpenBLAS of numpy's wheels, and its Fortran integer:
+# scipy-openblas64 (ILP64) and scipy-openblas32
+_GTSV_SYMBOLS = (("scipy_dgtsv_64_", ctypes.c_int64), ("scipy_dgtsv_", ctypes.c_int32))
+
+
+class BundledGtsv(NamedTuple):
+    """``dgtsv`` of a bundled OpenBLAS, bound through ``ctypes``."""
+
+    function: Callable[..., None]
+    fortran_int: type  # the ctypes type of LAPACK's INTEGER
+    library: Path
+
+
+def bundled_gtsv(directories=None) -> BundledGtsv | None:
+    """``dgtsv`` from the OpenBLAS that numpy's wheel bundles, or None.
+
+    The library is looked for in ``directories``, by default the folders in
+    which numpy's wheels keep their bundled libraries.  None for a numpy
+    build that bundles no OpenBLAS.
+    """
+    if directories is None:
+        numpy_dir = Path(np.__file__).parent
+        directories = (numpy_dir.parent / "numpy.libs", numpy_dir / ".dylibs")
+    for directory in directories:
+        for library in sorted(Path(directory).glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(library))  # numpy's mapping, already loaded
+            except OSError:
+                continue
+            for symbol, fortran_int in _GTSV_SYMBOLS:
+                function = getattr(lib, symbol, None)
+                if function is not None:
+                    # N, NRHS, DL, D, DU, B, LDB, INFO, all by reference
+                    function.argtypes = (ctypes.c_void_p,) * 8
+                    function.restype = None
+                    return BundledGtsv(function, fortran_int, library)
+    return None
+
+
+GTSV = bundled_gtsv()
+
+
+class Tridiagonal:
+    """One n-row tridiagonal system, held for LAPACK ``gtsv`` to solve in place.
+
+    The rows are the sub-, main and super-diagonals ``lower``, ``diag``,
+    ``upper`` and the right-hand side ``rhs``, of lengths n-1, n, n-1 and n,
+    end to end in one float64 buffer that the system allocates itself: the
+    ``ctypes`` call checks nothing, so ``gtsv`` is only ever handed memory
+    of the lengths it was told.  The buffer's address is taken once, so
+    Newton iterations that refill the same rows pay for it once.
+    """
+
+    __slots__ = ("lower", "diag", "upper", "rhs", "_buf", "_gtsv")
+
+    def __init__(self, n: int):
+        """An n-row system, its rows uninitialized."""
+        self._buf = buf = np.empty(4 * n - 2)
+        rows = self.lower, self.diag, self.upper, self.rhs = (
+            buf[:n - 1], buf[n - 1:2 * n - 1], buf[2 * n - 1:3 * n - 2], buf[3 * n - 2:])
+        if GTSV is None:
+            dgtsv = load_extension("scipy.linalg._flapack").dgtsv
+            self._gtsv = lambda: dgtsv(*rows, 1, 1, 1, 1)[4]
+            return
+        base = buf.ctypes.data
+        size, nrhs, info = GTSV.fortran_int(n), GTSV.fortran_int(1), GTSV.fortran_int(0)
+        # self holds the buffer, and the by-reference arguments their integers
+        call = partial(GTSV.function, ctypes.byref(size), ctypes.byref(nrhs),
+                       *(base + k * buf.itemsize for k in (0, n - 1, 2 * n - 1, 3 * n - 2)),
+                       ctypes.byref(size), ctypes.byref(info))
+
+        def gtsv():
+            call()
+            return info.value
+
+        self._gtsv = gtsv
+
+    @classmethod
+    def of(cls, lower, diag, upper, rhs) -> "Tridiagonal":
+        """The system with copies of the given rows, which must be 1-d float64
+        arrays of lengths n-1, n, n-1 and n; anything else raises ``ValueError``."""
+        rows = (lower, diag, upper, rhs)
+        if not all(isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 1
+                   for a in rows):
+            raise ValueError("the rows must be 1-d float64 arrays")
+        n = diag.size
+        if n == 0 or (lower.size, upper.size, rhs.size) != (n - 1, n - 1, n):
+            raise ValueError(f"row lengths {lower.size}, {n}, {upper.size}, {rhs.size}: "
+                             "need n-1, n, n-1, n with n >= 1")
+        system = cls(n)
+        for row, a in zip((system.lower, system.diag, system.upper, system.rhs), rows):
+            row[...] = a
+        return system
+
+    def equilibrate(self) -> np.ndarray:
+        """Divide each row of the matrix by its largest magnitude, at least
+        1e-300, and return those magnitudes; row i owns diag[i], upper[i]
+        and lower[i-1]."""
+        n = self.diag.size
+        mag = np.abs(self._buf[:3 * n - 2])  # |lower|, |diag|, |upper|
+        r = mag[n - 1:2 * n - 1]
+        np.maximum(r[:-1], mag[2 * n - 1:], out=r[:-1])
+        np.maximum(r[1:], mag[:n - 1], out=r[1:])
+        np.maximum(r, 1e-300, out=r)
+        self.diag /= r
+        self.upper /= r[:-1]
+        self.lower /= r[1:]
+        return r
+
+    def isfinite(self) -> bool:
+        """Whether every entry of the four rows is finite."""
+        return bool(np.isfinite(self._buf).all())
 
 
 @dataclass(frozen=True)
@@ -96,27 +214,37 @@ class Discretization:
         return tuple(self.dirichlet_idx.tolist())
 
     @cached_property
+    def _newton_rows(self) -> Tridiagonal:
+        # the rows of every Newton system on this mesh, refilled at each
+        # iteration: solves on one Discretization must not overlap
+        return Tridiagonal(self.volumes.size)
+
+    @cached_property
     def _linear_bands(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         # p = 2: the u-independent (lower, conductance diag, upper), read-only,
         # indexed by the Dirichlet flag
+        n = self.volumes.size
         c = self.m_face / self.h_face
-        c_lo, c_up = c / self.volumes[1:], c / self.volumes[:-1]
-        bands = tuple(self._conductance_bands(c_lo, c_up, dirichlet)
-                      for dirichlet in (False, True))
-        for band in bands:
+        bands = []
+        for dirichlet in (False, True):
+            band = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+            self._conductance_bands(c, dirichlet, *band)
             for a in band:
                 a.setflags(write=False)
-        return bands
+            bands.append(band)
+        return tuple(bands)
 
-    def _conductance_bands(self, c_lo, c_up, dirichlet: bool):
-        """The off-diagonals and the conductance part of the diagonal for the
-        face conductances over the volumes below (c_lo) and above (c_up) each
-        face, as fresh (lower, diag, upper); Dirichlet rows get zero off-diagonals."""
-        diag = np.empty(self.volumes.size)
-        diag[:-1] = c_up
+    def _conductance_bands(self, c, dirichlet: bool, lower, diag, upper) -> None:
+        """Write the off-diagonals and the conductance part of the diagonal for
+        the face conductances ``c`` into (lower, diag, upper); Dirichlet rows
+        get zero off-diagonals."""
+        np.divide(c, self.volumes[1:], out=lower)  # face i's share in row i + 1
+        np.divide(c, self.volumes[:-1], out=upper)  # and in row i
+        diag[:-1] = upper
         diag[-1] = 0.0
-        diag[1:] += c_lo
-        lower, upper = np.negative(c_lo), np.negative(c_up)
+        diag[1:] += lower
+        np.negative(lower, out=lower)
+        np.negative(upper, out=upper)
         if dirichlet:
             # row i owns lower[i-1] and upper[i]
             for i in self._dirichlet_nodes:
@@ -124,7 +252,6 @@ class Discretization:
                     lower[i - 1] = 0.0
                 if i < upper.size:
                     upper[i] = 0.0
-        return lower, diag, upper
 
     def _gradient(self, u: np.ndarray, eps: float):
         """Face gradients du and, for p != 2, the regularized du**2 + eps**2."""
@@ -185,13 +312,18 @@ class Discretization:
                 scale[i] = abs(dv) + abs(u[i])
         return R, scale
 
-    def _jacobian_banded(self, u, *, weight, fp, mass_coef=0.0, dirichlet: bool,
-                         eps: float | None = None):
-        """The residual's Jacobian as its (lower, diag, upper) diagonals, each a
-        fresh array (the equilibration and ``gtsv`` overwrite them)."""
+    def _jacobian_banded(self, u, system: Tridiagonal, *, weight, fp, mass_coef=0.0,
+                         dirichlet: bool, eps: float | None = None) -> None:
+        """Write the residual's Jacobian into the (lower, diag, upper) rows of
+        ``system``."""
+        lower, diag, upper = system.lower, system.diag, system.upper
         if self.p == 2.0:
-            lower, diag, upper = self._linear_bands[dirichlet]
-            lower, upper = lower.copy(), upper.copy()
+            lin_lower, lin_diag, lin_upper = self._linear_bands[dirichlet]
+            np.copyto(lower, lin_lower)
+            np.copyto(upper, lin_upper)
+            np.multiply(weight, fp(u), out=diag)
+            diag += mass_coef
+            diag += lin_diag
         else:
             eps = self.eps_reg if eps is None else eps
             du, c = self._gradient(u, eps)
@@ -204,28 +336,28 @@ class Discretization:
             if self.mesh.domain.metric_power:
                 c *= self.m_face
             c /= self.h_face
-            lower, diag, upper = self._conductance_bands(
-                c / self.volumes[1:], c / self.volumes[:-1], dirichlet)
-        t = weight * fp(u)
-        t += mass_coef
-        t += diag
+            self._conductance_bands(c, dirichlet, lower, diag, upper)
+            t = weight * fp(u)
+            t += mass_coef
+            diag += t  # the same bits as t + diag
         if dirichlet:
             for i in self._dirichlet_nodes:
-                t[i] = 1.0
-        return lower, t, upper
+                diag[i] = 1.0
 
 
-def solve_banded(lower, diag, upper, rhs) -> np.ndarray:
-    """Solve the tridiagonal system with the given sub-, main and super-diagonals.
+def solve_banded(system: Tridiagonal) -> np.ndarray:
+    """Solve the tridiagonal ``system`` by LAPACK ``gtsv``.
 
-    LAPACK ``gtsv`` (Gaussian elimination with partial pivoting) overwrites
-    all four arrays; the solution is returned in the storage of ``rhs``.
-    The arrays must be finite, contiguous float64.
+    ``gtsv`` (Gaussian elimination with partial pivoting) overwrites all four
+    rows; the solution is returned in the storage of ``system.rhs``.  The
+    rows must be finite.
     """
-    _, _, _, x, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
+    info = system._gtsv()
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix (zero pivot in row {info})")
-    return x
+    if info < 0:
+        raise ValueError(f"gtsv: argument {-info} has an illegal value")
+    return system.rhs
 
 
 def newton_solve(disc: Discretization, u0, *, weight, f, fp, source=None,
@@ -241,15 +373,16 @@ def newton_solve(disc: Discretization, u0, *, weight, f, fp, source=None,
     """
     u = np.array(u0, dtype=float)
     info: dict = {"iterations": 0, "projections": 0}
+    system = disc._newton_rows
     for factor in (100.0, 10.0, 1.0) if disc.p != 2.0 else (1.0,):
-        u = _newton_single(disc, u, weight=weight, f=f, fp=fp, source=source,
+        u = _newton_single(disc, u, system, weight=weight, f=f, fp=fp, source=source,
                            mass_coef=mass_coef, u_prev=u_prev, dirichlet_val=dirichlet_val,
                            rtol=NEWTON_RTOL if factor == 1.0 else 1e-6,
                            eps=disc.eps_reg * factor, info=info)
     return u, info
 
 
-def _newton_single(disc, u, *, weight, f, fp, source, mass_coef, u_prev,
+def _newton_single(disc, u, system, *, weight, f, fp, source, mass_coef, u_prev,
                    dirichlet_val, rtol, eps, info) -> np.ndarray:
     # u is never written in place: each accepted iterate is a new array
     dirichlet = dirichlet_val is not None
@@ -271,30 +404,24 @@ def _newton_single(disc, u, *, weight, f, fp, source, mass_coef, u_prev,
         # backtracking uses a smooth l2 merit (the Newton direction is always
         # a descent direction for it); convergence stays in the max norm
         ls_merit = math.sqrt(scaled.dot(scaled))
-        lower, diag, upper = disc._jacobian_banded(u, weight=weight, fp=fp,
-                                                   mass_coef=mass_coef,
-                                                   dirichlet=dirichlet, eps=eps)
+        disc._jacobian_banded(u, system, weight=weight, fp=fp, mass_coef=mass_coef,
+                              dirichlet=dirichlet, eps=eps)
         # row equilibration guards the factorization across blow-up magnitudes;
-        # row i owns diag[i], upper[i] and lower[i-1]
-        r = np.abs(diag)
-        np.maximum(r[:-1], np.abs(upper), out=r[:-1])
-        np.maximum(r[1:], np.abs(lower), out=r[1:])
-        np.maximum(r, 1e-300, out=r)
-        diag /= r
-        upper /= r[:-1]
-        lower /= r[1:]
-        rhs = -R / r
-        # an equilibrated row is finite exactly when its r is
-        if not (np.isfinite(r).all() and np.isfinite(rhs).all()):
+        # an equilibrated row is finite exactly when its scale r is
+        r = system.equilibrate()
+        np.divide(R, r, out=system.rhs)
+        if not system.isfinite():
             raise SolverError("non-finite Newton system", {"iteration": it, "merit": merit})
+        # gtsv is odd in the right-hand side, bit for bit: solved for R / r,
+        # the system returns minus the step that -R / r would give
         try:
-            delta = solve_banded(lower, diag, upper, rhs)
+            neg_delta = solve_banded(system)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"linear solve failed: {exc}", {"iteration": it}) from exc
         lam = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACK):
-            u_try = u + delta if lam == 1.0 else u + lam * delta
+            u_try = u - neg_delta if lam == 1.0 else u - lam * neg_delta
             if (u_try < 0.0).any():
                 info["projections"] += 1
                 np.maximum(u_try, 0.0, out=u_try)

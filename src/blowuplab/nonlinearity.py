@@ -114,9 +114,11 @@ def primitive(nl: Nonlinearity, u):
     The closed form when one is declared; otherwise the table of F at the
     nodes 2**k plus one 20-point Gauss-Legendre panel from the node below u
     (one vectorized call of f for all table points), and adaptive quadrature
-    from 0 for each u outside the table's finite range (below 2**-30, or at
-    and above its last finite node).  F is inf where it overflows: at and
-    above the table's first non-finite node, and where the quadrature does.
+    from 0 for each u below 2**-30 or at and above the table's last node.
+    Where F overflows inside the table, the panel from its last finite node
+    serves up to the first non-finite one.  F is inf where it overflows: at
+    and above the table's first non-finite node, and where a panel or the
+    quadrature does.
     """
     arr = np.asarray(u, dtype=float)
     if np.any(arr < 0.0):
@@ -128,17 +130,21 @@ def primitive(nl: Nonlinearity, u):
         flat = arr.ravel()
         k = np.frexp(flat)[1] - 1  # 2**k <= u < 2**(k+1)
         i = k - TABLE_KMIN
-        inside = (flat > 0.0) & (i >= 0) & (i < n_finite - 1)
         overflow = (i >= n_finite) & (n_finite < table.size)
+        # panels start at finite nodes below the last node, and, where F
+        # overflows in the table, at the last finite one too
+        last = n_finite if n_finite < table.size else n_finite - 1
+        inside = (flat > 0.0) & (i >= 0) & (i < last)
         out = np.zeros_like(flat)
         out[overflow] = np.inf
         if inside.any():
             x, w = gauss_legendre(TABLE_RULE_POINTS)
             a = np.ldexp(1.0, k[inside])
             half = 0.5 * (flat[inside] - a)
-            # a sum, not np.dot, for the reason given in _primitive_table
-            panels = half * (w * nl.func(a[:, None] + half[:, None] * (1.0 + x))).sum(axis=1)
-            out[inside] = table[i[inside]] + panels
+            with np.errstate(over="ignore"):  # F overflows in the last finite panel
+                # a sum, not np.dot, for the reason given in _primitive_table
+                panels = half * (w * nl.func(a[:, None] + half[:, None] * (1.0 + x))).sum(axis=1)
+                out[inside] = table[i[inside]] + panels
         for j in np.flatnonzero(~inside & ~overflow & (flat > 0.0)):
             try:
                 out[j] = integral_on_interval(nl.func, 0.0, float(flat[j]))
@@ -149,7 +155,7 @@ def primitive(nl: Nonlinearity, u):
 
 
 def primitive_table_top(nl: Nonlinearity) -> int:
-    """The k with ``primitive`` reading F from its table on [2**TABLE_KMIN, 2**k)."""
+    """The k of the last finite node 2**k of F's table."""
     return TABLE_KMIN + _primitive_table(nl)[1] - 1
 
 

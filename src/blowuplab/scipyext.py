@@ -1,9 +1,11 @@
 """scipy's compiled extensions, loaded without the inits of their packages.
 
-The program calls three compiled routines of scipy: LAPACK ``gtsv`` from
-``scipy.linalg._flapack``, QUADPACK ``qagse`` from ``scipy.integrate._quadpack``
-and Brent's method from ``scipy.optimize._zeros``.  Importing them through
-their packages runs the package inits of ``scipy.linalg``, ``scipy.integrate``,
+The program calls two compiled routines of scipy: QUADPACK ``qagse`` from
+``scipy.integrate._quadpack`` and Brent's method from
+``scipy.optimize._zeros``.  A third, LAPACK ``gtsv`` from
+``scipy.linalg._flapack``, is loaded only where numpy bundles no OpenBLAS
+whose ``dgtsv`` ``discretize`` can call.  Importing them through their
+packages runs the package inits of ``scipy.linalg``, ``scipy.integrate``,
 ``scipy.optimize`` and ``scipy.special``: with scipy 1.17 on a 2-core x86-64
 machine, 0.42-0.48 s and 50 MB of resident memory together, much of it spent
 cloning numpy's namespace (``numpy.f2py``, ``numpy.testing``, ``numpy.random``,
@@ -11,9 +13,9 @@ cloning numpy's namespace (``numpy.f2py``, ``numpy.testing``, ``numpy.random``,
 a millisecond each, and ``_flapack`` in a few.
 
 scipy's folder is located with ``importlib.util.find_spec``, which runs no
-package code, so loading ``_flapack`` does not run ``scipy/__init__`` either
+package code, so loading an extension does not run ``scipy/__init__`` either
 (13-16 ms and 1.3 MB after numpy on the same machine, for
-``scipy._lib._testutils``, ``subprocess``, ``sysconfig`` and more).  A solver
+``scipy._lib._testutils``, ``subprocess``, ``sysconfig`` and more).  A
 session that never integrates or finds a root leaves ``scipy`` unloaded; the
 first ``_qagse`` or ``_brentq`` call imports ``scipy._lib._ccallback``, which
 runs the init then.

@@ -9,6 +9,7 @@ from blowuplab.discretize import (
     MAX_NEWTON,
     NEWTON_RTOL,
     Discretization,
+    Tridiagonal,
     newton_solve,
 )
 from blowuplab.errors import SolverError
@@ -224,14 +225,12 @@ def test_newton_matches_band_matrix_reference_bit_for_bit(case):
         ab = _reference_band_matrix(disc, v, weight=kw["weight"], fp=kw["fp"],
                                     mass_coef=kw["mass_coef"],
                                     dirichlet="dirichlet_val" in kw, eps=eps)
-        lower, diag, upper = disc._jacobian_banded(v, weight=kw["weight"], fp=kw["fp"],
-                                                   mass_coef=kw["mass_coef"],
-                                                   dirichlet="dirichlet_val" in kw, eps=eps)
-        assert np.array_equal(lower, ab[2, :-1])
-        assert np.array_equal(diag, ab[1])
-        assert np.array_equal(upper, ab[0, 1:])
-        # the equilibration and gtsv overwrite the diagonals in place
-        assert all(a.flags.writeable for a in (lower, diag, upper))
+        system = Tridiagonal(v.size)
+        disc._jacobian_banded(v, system, weight=kw["weight"], fp=kw["fp"],
+                              mass_coef=kw["mass_coef"], dirichlet="dirichlet_val" in kw, eps=eps)
+        assert np.array_equal(system.lower, ab[2, :-1])
+        assert np.array_equal(system.diag, ab[1])
+        assert np.array_equal(system.upper, ab[0, 1:])
 
 
 def test_far_start_backtracks_and_projects(monkeypatch):
@@ -288,23 +287,88 @@ def _first_pivot(lower, diag, upper):
     return None
 
 
-def test_solve_banded_matches_scipy_bit_for_bit_when_gtsv_pivots():
+def _pivoting_system():
     # on a graded mesh the Jacobian is not symmetric: past the middle each
     # dual cell is smaller than the one before, and the sub-diagonal outweighs
     # the pivot there
     mesh = build_graded_mesh(interval(0.0, 1.0), 60, 2.0)
     disc = Discretization.build(mesh, 2.0, dirichlet_idx=[])
     x = mesh.nodes
-    lower, diag, upper = disc._jacobian_banded(x, weight=np.ones_like(x),
-                                               fp=lambda u: np.full_like(u, 1e-3),
-                                               dirichlet=False)
+    system = Tridiagonal(x.size)
+    disc._jacobian_banded(x, system, weight=np.ones_like(x),
+                          fp=lambda u: np.full_like(u, 1e-3), dirichlet=False)
+    system.rhs[...] = np.cos(7.0 * x)
+    return system
+
+
+def test_solve_banded_matches_scipy_bit_for_bit_when_gtsv_pivots():
+    system = _pivoting_system()
+    lower, diag, upper, rhs = (a.copy() for a in (system.lower, system.diag, system.upper,
+                                                  system.rhs))
     assert _first_pivot(lower, diag, upper) is not None
-    rhs = np.cos(7.0 * x)
-    ab = np.zeros((3, x.size))
+    ab = np.zeros((3, diag.size))
     ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
     expected = solve_banded((1, 1), ab, rhs)
-    got = discretize.solve_banded(lower, diag, upper, rhs)
-    assert np.array_equal(got, expected)
+    assert np.array_equal(discretize.solve_banded(system), expected)
+    # the caller's rows are copied, and left as they were
+    rows = (lower, diag, upper, rhs)
+    before = [a.copy() for a in rows]
+    assert np.array_equal(discretize.solve_banded(Tridiagonal.of(*rows)), expected)
+    assert all(np.array_equal(a, b) for a, b in zip(rows, before))
+
+
+@pytest.mark.parametrize("rows", [
+    (np.zeros(4), np.ones(4), np.zeros(3), np.ones(4)),  # lower one too long
+    (np.zeros(3), np.ones(4), np.zeros(3), np.ones(5)),  # rhs one too long
+    (np.zeros(3), np.ones(4), np.zeros(2), np.ones(4)),  # upper one too short
+    (np.zeros(0), np.ones(0), np.zeros(0), np.ones(0)),  # no rows
+    (np.zeros(3), np.ones(4, dtype=np.float32), np.zeros(3), np.ones(4)),
+    (np.zeros(3), np.ones((4, 1)), np.zeros(3), np.ones(4)),
+    ([0.0] * 3, np.ones(4), np.zeros(3), np.ones(4)),
+], ids=["long-lower", "long-rhs", "short-upper", "empty", "float32", "2-d", "list"])
+def test_rows_of_the_wrong_length_or_type_are_refused_before_gtsv(rows):
+    with pytest.raises(ValueError, match="rows must be|row lengths"):
+        Tridiagonal.of(*rows)
+
+
+def test_gtsv_error_codes_are_never_ignored():
+    system = Tridiagonal.of(np.zeros(3), np.ones(4), np.zeros(3), np.ones(4))
+    system._gtsv = lambda: -2  # LAPACK's report of an illegal second argument
+    with pytest.raises(ValueError, match="argument 2"):
+        discretize.solve_banded(system)
+    system._gtsv = lambda: 3
+    with pytest.raises(np.linalg.LinAlgError, match="zero pivot in row 3"):
+        discretize.solve_banded(system)
+
+
+def test_scipy_flapack_fallback_is_bit_identical_to_numpys_lapack(tmp_path, monkeypatch):
+    def solve_all():
+        out = [newton_solve(disc, u0, **kw) for _, disc, u0, kw in _kernel_cases()]
+        return out, discretize.solve_banded(_pivoting_system()).copy()
+
+    primary, primary_pivoting = solve_all()
+    # a build without a bundled OpenBLAS: the locator finds nothing
+    assert discretize.bundled_gtsv([tmp_path]) is None
+    monkeypatch.setattr(discretize, "GTSV", discretize.bundled_gtsv([tmp_path]))
+    loaded = []
+    monkeypatch.setattr(discretize, "load_extension", lambda name: loaded.append(name)
+                        or load_extension(name))
+    fallback, fallback_pivoting = solve_all()
+    assert set(loaded) == {"scipy.linalg._flapack"}
+    for (u, info), (u_ref, info_ref) in zip(fallback, primary, strict=True):
+        assert np.array_equal(u, u_ref)
+        assert info == info_ref
+    assert np.array_equal(fallback_pivoting, primary_pivoting)
+
+
+def test_a_numpy_that_bundles_openblas_serves_gtsv():
+    # pip wheels of numpy 2 bundle scipy-openblas; only builds without it may
+    # fall back to scipy's _flapack
+    lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]
+    if lapack["name"] != "scipy-openblas":
+        pytest.skip(f"numpy is built against {lapack['name']}, not a bundled OpenBLAS")
+    assert discretize.GTSV is not None
+    assert "openblas" in discretize.GTSV.library.name
 
 
 def test_gtsv_falls_back_to_scipy_linalg_without_the_extension_file(tmp_path):

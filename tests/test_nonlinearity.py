@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from blowuplab import nonlinearity
-from blowuplab.errors import ConfigError, DomainError, NumericsError
+from blowuplab.errors import ConfigError, DomainError, NumericsError, QuadratureWarning
 from blowuplab.nonlinearity import (
     Nonlinearity,
     blowup_order,
@@ -61,15 +62,40 @@ def test_primitive_outside_the_table_is_the_quadrature(monkeypatch):
         calls.append(b)
         return integral_on_interval(func, a, b)
 
-    # below 2**-30; above the last node 2**300; for power_log(4) F overflows
-    # in the table near 2**204, so 1.5 * 2**203 lies beyond its last finite node
-    cases = [(power_log(2), 1e-12), (power_log(2), 2.0 ** 301), (power_log(4), 1.5 * 2.0 ** 203)]
+    # below 2**-30; above the last node 2**300
+    cases = [(power_log(2), 1e-12), (power_log(2), 2.0 ** 301)]
     for nl, u in cases:
         primitive(nl, 1.0)  # builds the table
         monkeypatch.setattr(nonlinearity, "integral_on_interval", counting)
         assert primitive(nl, u) == integral_on_interval(nl.func, 0.0, u)
         monkeypatch.undo()
     assert calls == [u for _, u in cases]
+
+
+@pytest.mark.parametrize("nl", [power_log(3), power_log(4)], ids=lambda nl: nl.name)
+def test_primitive_past_the_last_finite_node_is_one_panel(nl, monkeypatch):
+    # for power_log(3) and power_log(4) F overflows in the table after the
+    # nodes 2**254 and 2**203; the band up to the next node is read as the
+    # last finite entry plus one panel, and agrees with the quadrature from 0
+    top = nonlinearity.primitive_table_top(nl)
+    assert top in (254, 203)
+    u = np.ldexp(1.0, top) * (1.0 + np.arange(512) / 512.0)
+    monkeypatch.setattr(nonlinearity, "integral_on_interval", None)
+    got = primitive(nl, u)
+    monkeypatch.undo()
+    expected = []
+    with warnings.catch_warnings():  # QUADPACK falls short where F nears overflow
+        warnings.simplefilter("ignore", QuadratureWarning)
+        for v in u:
+            try:
+                expected.append(integral_on_interval(nl.func, 0.0, float(v)))
+            except NumericsError:
+                expected.append(np.inf)
+    expected = np.array(expected)
+    finite = np.isfinite(expected)
+    assert np.array_equal(np.isfinite(got), finite)  # inf exactly where quad overflows
+    assert finite.sum() >= 200 and not finite.all()
+    assert np.max(np.abs(got[finite] / expected[finite] - 1.0)) <= 1e-12
 
 
 def test_primitive_is_inf_where_it_overflows(monkeypatch):
