@@ -369,7 +369,8 @@ def newton_solve(disc: Discretization, u0, *, weight, f, fp, source=None,
     first two stop at a scaled residual of 1e-6, the last at ``NEWTON_RTOL``.
     A failing stage's ``SolverError`` ends the solve.  Negative entries of a
     line-search trial point are set to zero, and each trial point so
-    projected adds one to ``projections``.
+    projected adds one to ``projections``.  Solves on one ``disc`` share its
+    Newton rows, so they must not run concurrently.
     """
     u = np.array(u0, dtype=float)
     info: dict = {"iterations": 0, "projections": 0}
