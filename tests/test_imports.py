@@ -7,8 +7,11 @@ on first use.  No run executes the package inits of ``scipy.integrate``,
 ``scipy.optimize``, ``scipy.special`` or ``scipy.linalg``, and each package
 shares the loaded extension whichever is imported first.  The Newton solver
 calls the LAPACK of numpy's bundled OpenBLAS, so a pure-power solver session
-imports no scipy module and maps one OpenBLAS, numpy's; a power_log run
-imports ``scipy`` at its first quadrature, through ``scipy._lib._ccallback``.
+imports no scipy module and maps one OpenBLAS, numpy's; where numpy bundles
+no OpenBLAS, its fallback loads LAPACK's ``_flapack`` without ``scipy.linalg``'s
+init, and ``scipy.linalg`` shares that module whichever is imported first.  A
+power_log run imports ``scipy`` at its first quadrature, through
+``scipy._lib._ccallback``.
 
 ``import blowuplab`` loads its submodules on first use: a session that only
 evaluates profiles and blow-down curves builds no solver, and only
@@ -66,6 +69,23 @@ SCRIPT = textwrap.dedent("""
     loaded["power_log"] = [m for m in %(names)r if m in sys.modules]
     print(json.dumps({"rc": rc, "loaded": loaded}))
 """) % {"names": EXTENSIONS + PACKAGE_INITS + (SCIPY_INIT,)}
+
+# the solver's fallback where numpy bundles no OpenBLAS: gtsv from scipy's _flapack
+SHARED = textwrap.dedent("""
+    import sys
+    import numpy as np
+    %s
+    from blowuplab import discretize
+    from blowuplab.scipyext import load_extension
+    discretize.GTSV = None
+    system = discretize.Tridiagonal.of(np.ones(2), np.full(3, 4.0), np.ones(2), np.ones(3))
+    assert np.allclose(discretize.solve_banded(system), [3 / 14, 1 / 7, 3 / 14])
+    %s
+    flapack = load_extension("scipy.linalg._flapack")
+    assert sys.modules["scipy.linalg._flapack"] is flapack
+    assert scipy.linalg.lapack._flapack is flapack
+    assert scipy.linalg.lapack.dgtsv is flapack.dgtsv
+""")
 
 SHARED_EXTENSIONS = textwrap.dedent("""
     import sys
@@ -149,6 +169,13 @@ def test_solver_session_imports_no_scipy_and_maps_one_openblas(loaded):
         openblas = loaded["pure power openblas"]
         assert len(openblas) == 1, openblas
         assert Path(openblas[0]).resolve().parent == Path(site) / "numpy.libs"
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["linalg-first", "linalg-after"])
+def test_scipy_linalg_shares_the_loaded_lapack_module(before):
+    line = "import scipy.linalg.lapack"
+    check = 'assert "scipy.linalg" not in sys.modules'
+    _run(SHARED % ((line, "") if before else ("", f"{check}\n{line}")))
 
 
 @pytest.mark.parametrize("before", [True, False], ids=["packages-first", "packages-after"])
