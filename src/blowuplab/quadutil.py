@@ -15,6 +15,10 @@ first ``_qagse`` or ``_brentq`` call imports ``scipy._lib._ccallback``, and
 with it ``scipy``'s own init: a power_log run pays those 13-16 ms at its
 first quadrature, a pure-power run never.  Where QUADPACK stops short of its
 tolerance, ``quad`` warns with ``errors.QuadratureWarning``.
+
+``upper_tail_integral`` sets numpy's error state once per quadrature, not at
+each of the hundreds of integrand calls QUADPACK makes, and treats a NaN
+integrand as an error, not as a 0 contribution.
 """
 
 from __future__ import annotations
@@ -80,6 +84,13 @@ def upper_tail_integral(func, lower: float, decay: float, *, epsrel: float = 1e-
     substitution s = lower * x**(-m) with m = 2/(decay-1), which turns the
     integrand into a smooth function on (0, 1] (exactly linear for a pure
     power law), so adaptive quadrature converges to near machine accuracy.
+
+    numpy's overflow and invalid-value warnings are silenced once, around the
+    whole quadrature, not at each integrand call: ``func`` runs under that
+    error state.  Where s or the transformed value overflows to inf, the
+    integrand counts as 0 (the far tail).  A NaN from ``func`` raises
+    NumericsError naming s, and a decay so close to 1 that x**(-m) overflows
+    a Python float raises NumericsError naming the decay.
     """
     if lower <= 0.0:
         raise DomainError(f"lower limit must be positive, got {lower:g}")
@@ -88,14 +99,23 @@ def upper_tail_integral(func, lower: float, decay: float, *, epsrel: float = 1e-
     m = 2.0 / (decay - 1.0)
 
     def transformed(x: float) -> float:
-        s = lower * x ** (-m)
-        if not np.isfinite(s):
+        try:
+            s = lower * x ** (-m)
+        except OverflowError:
+            raise NumericsError(f"tail decay {decay:g} is too close to 1: the substitution "
+                                f"s = {lower:g} * x**(-{m:g}) overflows at x = {x:g}") from None
+        if not math.isfinite(s):
             return 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = func(s) * m * s / x
-        return v if np.isfinite(v) else 0.0
+        fs = func(s)
+        v = fs * m * s / x
+        if math.isfinite(v):
+            return v
+        if math.isnan(fs):
+            raise NumericsError(f"integrand of the tail integral from {lower:g} is NaN at s = {s:g}")
+        return 0.0
 
-    val, err = quad(transformed, 0.0, 1.0, epsrel=epsrel)
+    with np.errstate(over="ignore", invalid="ignore"):
+        val, err = quad(transformed, 0.0, 1.0, epsrel=epsrel)
     if not np.isfinite(val):
         raise NumericsError(f"tail integral from {lower:g} did not converge")
     if err > max(1e3 * epsrel * abs(val), 1e-290):
