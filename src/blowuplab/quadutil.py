@@ -17,8 +17,8 @@ first quadrature, a pure-power run never.  Where QUADPACK stops short of its
 tolerance, ``quad`` warns with ``errors.QuadratureWarning``.
 
 ``upper_tail_integral`` sets numpy's error state once per quadrature, not at
-each of the hundreds of integrand calls QUADPACK makes, and treats a NaN
-integrand as an error, not as a 0 contribution.
+each integrand call QUADPACK makes (21 or more per quadrature), and treats a
+NaN integrand as an error, not as a 0 contribution.
 """
 
 from __future__ import annotations

@@ -153,14 +153,6 @@ def test_upper_tail_integral_matches_per_point_reference_bit_for_bit(case):
     assert math.isfinite(got) and got > 0.0
 
 
-def test_numpy_overflow_is_silent_only_under_the_error_state():
-    func, lower, decay, _ = overflowing_case()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(RuntimeWarning, match="overflow"):
-            func(1e3)
-
-
 def test_error_state_is_restored_after_an_integrand_that_raises():
     before = np.geterr()
 
