@@ -11,10 +11,11 @@ G = a w**(-e) and w(t) = (a/t)**(1/e); for any other Nonlinearity, G is read
 from a table of G(2**k) built once per absorption (``quadutil.TailTable``),
 so each evaluation is one Gauss-Legendre panel; for a plain callable g, and
 outside the table, G is an adaptive tail quadrature.  Either way G is
-inverted by bracketing and Brent's method.  The tail integral demands g to
-grow faster than linearly; the growth index is either declared or measured
-on the fly.  The blow-up profile phi is the blow-down curve of
-g = (p' F)**(1/p), so ``karamata.BlowupProfile`` is a ``BlowdownCurve``.
+inverted by bracketing and Brent's method, all times of one ``value`` call
+against one set of values of G (``quadutil.invert_decreasing``).  The tail
+integral demands g to grow faster than linearly; the growth index is either
+declared or measured on the fly.  The blow-up profile phi is the blow-down
+curve of g = (p' F)**(1/p), so ``karamata.BlowupProfile`` is a ``BlowdownCurve``.
 """
 
 from __future__ import annotations
@@ -62,7 +63,11 @@ class BlowdownCurve:
             self._closed = (1.0 / ((rho - 1.0) * coef * expo), rho - 1.0)
 
     def _integrand(self, s: float) -> float:
-        return 1.0 / float(self.g(s))
+        try:
+            return 1.0 / float(self.g(s))
+        except ZeroDivisionError:
+            raise NumericsError(f"g of {self.name} underflows to 0 at s = {s:g}, "
+                                f"so 1/g has no finite value there") from None
 
     def _tail_sources(self):
         """The table of G (or None) and the tail quadrature, looked up in this
@@ -90,8 +95,10 @@ class BlowdownCurve:
     def value(self, t):
         """w(t): (a/t)**(1/e) for a pure power, else G^{-1}(t) by bracketing and Brent."""
         arr = np.asarray(t, dtype=float)
-        if np.any(arr <= 0.0):
-            raise DomainError(f"argument of {self.name} must be positive")
+        bad = ~((arr > 0.0) & (arr < np.inf))
+        if bad.any():
+            raise DomainError(f"argument of {self.name} must be positive and finite, "
+                              f"got {arr[bad][0]:g}")
         if self._closed is not None:
             a, e = self._closed
             with np.errstate(over="ignore"):
@@ -99,8 +106,7 @@ class BlowdownCurve:
             if not np.all(np.isfinite(out)):
                 raise NumericsError(f"value of {self.name} overflows at t = {arr.min():g}")
         else:
-            inverted = self._inverted()
-            out = np.vectorize(lambda tv: invert_decreasing(inverted, tv), otypes=[float])(arr)
+            out = invert_decreasing(self._inverted(), arr)
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
     def ode_residual(self, t: float) -> float:

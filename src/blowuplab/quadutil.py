@@ -19,6 +19,10 @@ tolerance, ``quad`` warns with ``errors.QuadratureWarning``.
 ``upper_tail_integral`` sets numpy's error state once per quadrature, not at
 each integrand call QUADPACK makes (21 or more per quadrature), and treats a
 NaN integrand as an error, not as a 0 contribution.
+
+``invert_decreasing`` inverts all times of one call against one dict of the
+function's values, so each abscissa their bracket walks share costs one
+evaluation per call.
 """
 
 from __future__ import annotations
@@ -221,14 +225,32 @@ class TailTable:
         return float(self.values[i + 1] + self._panel(y, math.ldexp(1.0, k + 1)))
 
 
-def invert_decreasing(func, t: float) -> float:
+def invert_decreasing(func, t):
     """The x > 0 with ``func(x) = t``, for ``func`` strictly decreasing on (0, inf).
 
-    The root is bracketed by stepping from x = 1 by factors of 8 toward it,
+    ``t`` is a scalar (a float is returned) or an array (one of its shape).
+    Each root is bracketed by stepping from x = 1 by factors of 8 toward it,
     so the bracket spans one factor, and refined by Brent's method in log x.
-    ``func`` is evaluated once per bracket point.  Raises DomainError when
-    ``t`` exceeds every value of ``func`` reached (t beyond func(0+)).
+    ``func`` is evaluated once per distinct abscissa of the call, through a
+    dict dropped on return; each value is bit for bit that of its t alone.
+    Raises DomainError when a t exceeds every value of ``func`` reached
+    (t beyond func(0+)).
     """
+    memo = {}
+
+    def cached(x: float) -> float:
+        fx = memo.get(x)
+        if fx is None:
+            fx = memo[x] = func(x)
+        return fx
+
+    arr = np.asarray(t, dtype=float)
+    out = np.array([_invert_one(cached, tv) for tv in arr.ravel().tolist()]).reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
+
+
+def _invert_one(func, t: float) -> float:
+    """One root of ``invert_decreasing``: the bracket walk from x = 1, then Brent."""
     a = b = 1.0
     fa = fb = func(1.0)
     up = fa > t  # the root lies above 1

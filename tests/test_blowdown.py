@@ -13,9 +13,9 @@ from blowuplab.blowdown import (
     solve_blowdown,
     two_scale_equivalence,
 )
-from blowuplab import blowdown
+from blowuplab import blowdown, quadutil
 from blowuplab.errors import ConfigError, DomainError, NumericsError
-from blowuplab.karamata import BlowupProfile
+from blowuplab.karamata import BlowupProfile, effective_absorption, power_kernel
 from blowuplab.nonlinearity import power, power_log
 from blowuplab.quadutil import TailTable, invert_decreasing, upper_tail_integral
 
@@ -68,23 +68,34 @@ def test_time_rescaling_equals_scaled_absorption(b0):
 
 
 def test_one_inversion_per_point(monkeypatch):
-    owners = []  # the object whose bound method each inversion inverts
+    # one inversion call per value call, against the object's own first
+    # integral, and one root per time
+    owners, roots = [], []
+    invert_one = quadutil._invert_one
 
     def counting(func, t):
         owners.append(func.__self__)
         return invert_decreasing(func, t)
 
+    def one_root(func, t):
+        roots.append(t)
+        return invert_one(func, t)
+
     monkeypatch.setattr(blowdown, "invert_decreasing", counting)
+    monkeypatch.setattr(quadutil, "_invert_one", one_root)
     quad_power = dataclasses.replace(power(2), primitive_power=None)
     t = np.array([0.05, 0.1, 0.5, 1.0, 3.0])
     for obj in (BlowdownCurve(lambda w: w * w, index=2), BlowupProfile(quad_power, 2.0)):
-        for arg, size in ((0.3, 1), (t, t.size), (t.reshape(5, 1), t.size)):
+        for arg in (0.3, t, t.reshape(5, 1)):
             owners.clear()
+            roots.clear()
             obj.value(arg)
-            assert len(owners) == size and all(o is obj for o in owners)
+            assert len(owners) == 1 and owners[0] is obj
+            assert roots == np.ravel(arg).tolist()
     owners.clear()
+    roots.clear()
     BlowdownCurve(power(2)).value(t)  # closed form: nothing to invert
-    assert owners == []
+    assert owners == [] and roots == []
 
 
 def test_invert_decreasing_paths():
@@ -94,6 +105,118 @@ def test_invert_decreasing_paths():
     assert invert_decreasing(lambda x: x ** -2.0, 1e5) == pytest.approx(10 ** -2.5, rel=1e-13)
     with pytest.raises(DomainError):
         invert_decreasing(lambda x: 1.0 / (1.0 + x), 2.0)  # beyond func(0+) = 1
+
+
+def _effective_curve():
+    args = (power(2), power_kernel(1.0), 2.0)
+    return BlowdownCurve(lambda s: float(effective_absorption(*args, s)), name="effective")
+
+
+# times that share bracket points and Brent's first points, a bracket end hit
+# exactly (1/64 for 1/x), repeats, and times on both sides of x = 1
+SHARED_TIMES = np.array([1e-4, 3e-4, 1.1e-4, 0.05, 1.0 / 64.0, 0.3, 0.3, 1.0, 7.0])
+
+
+@pytest.mark.parametrize("case", ["curve", "profile", "callable-curve", "plain-callable"])
+def test_array_inversion_equals_per_element_inversions_bit_for_bit(case):
+    if case == "plain-callable":
+        func = lambda x: 1.0 / x + 1e-3 * x ** -1.5
+        whole = invert_decreasing(func, SHARED_TIMES)
+        single = [invert_decreasing(func, float(t)) for t in SHARED_TIMES]
+    else:
+        obj = {"curve": lambda: BlowdownCurve(power_log(2)),
+               "profile": lambda: BlowupProfile(power_log(2), 2.0),
+               "callable-curve": lambda: BlowdownCurve(lambda w: w * w * math.log(2.0 + w),
+                                                       index=2)}[case]()
+        whole = obj.value(SHARED_TIMES)
+        single = [obj.value(float(t)) for t in SHARED_TIMES]
+    assert isinstance(single[0], float)
+    assert whole.shape == SHARED_TIMES.shape
+    assert whole.tobytes() == np.array(single).tobytes()
+    assert whole[-2] > whole[-1]  # decreasing, not a copy of one value
+
+
+def test_inversion_keeps_the_shape_of_t():
+    func = lambda x: x ** -2.0
+    grid = SHARED_TIMES[:8].reshape(2, 4)
+    out = invert_decreasing(func, grid)
+    assert out.shape == (2, 4)
+    assert out.tobytes() == np.array([invert_decreasing(func, t) for t in grid.ravel()]).tobytes()
+    assert isinstance(invert_decreasing(func, np.float64(0.3)), float)
+    assert isinstance(invert_decreasing(func, np.array(0.3)), float)
+    assert invert_decreasing(func, np.array([])).shape == (0,)
+
+
+def test_each_abscissa_is_evaluated_once_per_call():
+    xs = []
+
+    def func(x):
+        xs.append(x)
+        return 1.0 / x + 1e-3 * x ** -1.5
+
+    invert_decreasing(func, SHARED_TIMES)
+    assert len(xs) == len(set(xs))
+    first = list(xs)
+    per_element = 0
+    for t in SHARED_TIMES:
+        xs.clear()
+        invert_decreasing(func, float(t))
+        per_element += len(xs)
+    assert len(first) < per_element  # the times share points
+    xs.clear()
+    invert_decreasing(func, SHARED_TIMES)  # a second call: nothing kept from the first
+    assert xs == first
+
+
+def test_each_first_integral_is_evaluated_once_per_curve_call(monkeypatch):
+    ws = []
+    first_integral = BlowdownCurve.first_integral
+
+    def counting(self, w):
+        ws.append(w)
+        return first_integral(self, w)
+
+    monkeypatch.setattr(BlowdownCurve, "first_integral", counting)
+    curve = BlowdownCurve(power_log(2))
+    curve.value(SHARED_TIMES)
+    assert len(ws) == len(set(ws)) > 0
+    first = list(ws)
+    ws.clear()
+    curve.value(SHARED_TIMES)  # no state on the curve: the same work again
+    assert ws == first
+
+
+def test_a_failing_point_inside_an_array_still_raises():
+    with pytest.raises(DomainError, match="exceeds the range"):
+        invert_decreasing(lambda x: 1.0 / (1.0 + x), np.array([0.5, 2.0, 0.3]))
+    with pytest.raises(NumericsError, match="failed to bracket"):
+        invert_decreasing(lambda x: 1.0 + 1.0 / x, np.array([2.0, 0.5]))
+    with pytest.raises(NumericsError, match="underflows to 0"):
+        BlowdownCurve(power_log(2)).value(np.array([0.1, 1e300, 0.2]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("case", ["power_log-curve", "power-curve", "power_log-profile",
+                                  "effective-curve"])
+def test_non_finite_time_is_refused_before_any_quadrature(case, bad, monkeypatch):
+    obj = {"power_log-curve": lambda: BlowdownCurve(power_log(2)),
+           "power-curve": lambda: BlowdownCurve(power(2)),
+           "power_log-profile": lambda: BlowupProfile(power_log(2), 2.0),
+           "effective-curve": _effective_curve}[case]()
+    monkeypatch.setattr(blowdown, "invert_decreasing",
+                        lambda func, t: pytest.fail("a non-finite time reached the inversion"))
+    for arg in (bad, np.array([0.1, bad, 0.2])):
+        with pytest.raises(DomainError, match=f"got {bad:g}"):
+            obj.value(arg)
+
+
+def test_underflowing_g_is_an_error_naming_s():
+    curve = BlowdownCurve(power_log(2))
+    assert float(curve.g(1e-200)) == 0.0
+    with pytest.raises(NumericsError, match=r"underflows to 0 at s = 1e-200"):
+        curve._integrand(1e-200)
+    with pytest.raises(NumericsError, match="underflows to 0 at s = "):
+        curve.value(1e300)
 
 
 def test_tail_table_of_a_pure_power_is_exact():

@@ -306,7 +306,7 @@ def test_trajectory_and_sandwich_invert_the_effective_curve_once(tmp_path, monke
     calls = []
     invert = blowdown.invert_decreasing
     monkeypatch.setattr(blowdown, "invert_decreasing",
-                        lambda func, t: calls.append(t) or invert(func, t))
+                        lambda func, t: calls.extend(np.ravel(t)) or invert(func, t))
     _write_trajectory_csv(tmp_path / "trajectory.csv", prob, fld)
     sandwich_check(fld, fld, prob, t_star=0.2)
     # the plain curve of power(2) is closed-form; the effective one is inverted per time
@@ -453,7 +453,7 @@ def test_trajectory_reuses_the_plain_curve_for_a_unit_frozen_weight(tmp_path, mo
     def counting(func, t):
         # the profile column inverts phi through the same routine; count the curves only
         if not isinstance(func.__self__, BlowupProfile):
-            calls.append(t)
+            calls.extend(np.ravel(t))
         return invert(func, t)
 
     monkeypatch.setattr(blowdown, "invert_decreasing", counting)
