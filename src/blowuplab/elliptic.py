@@ -22,7 +22,7 @@ import numpy as np
 from .discretize import Discretization, newton_solve
 from .errors import DomainError, SolverError
 from .geometry import Mesh
-from .karamata import WeightKernel, cap_ceiling, const_kernel
+from .karamata import AbsorptionWeight, WeightKernel, cap_ceiling, const_kernel
 from .nonlinearity import Nonlinearity
 
 logger = logging.getLogger(__name__)
@@ -36,36 +36,30 @@ DEFAULT_CAP_MARGIN = 4.0
 
 @dataclass(frozen=True)
 class EllipticProblem:
-    """-Delta_p z + amplitude(x) * k(d(x))^p * f(z) = source(x), z = cap on the boundary.
+    """-Delta_p z + amplitude * k(d(x))^p * f(z) = source(x), z = cap on the boundary.
 
-    ``amplitude`` is a constant or a callable of the node coordinates; the
-    optional source exists for manufactured-solution verification only.
+    ``weight`` is the ``AbsorptionWeight`` of ``kernel`` (const by default)
+    and ``amplitude``, a positive, finite number; the optional source exists
+    for manufactured-solution verification only.
     """
 
     mesh: Mesh
     p: float
     nl: Nonlinearity
     kernel: WeightKernel = None
-    amplitude: float | Callable = 1.0
+    amplitude: float = 1.0
     source: Callable | None = None
+    weight: AbsorptionWeight = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p <= 1.0:
             raise DomainError(f"p must exceed 1, got {self.p:g}")
         if self.kernel is None:
             object.__setattr__(self, "kernel", const_kernel(2.0 * self.mesh.domain.diameter))
+        object.__setattr__(self, "weight", AbsorptionWeight(self.kernel, self.amplitude))
 
     def weight_values(self) -> np.ndarray:
-        d = self.mesh.boundary_distance()
-        kp = np.asarray(self.kernel.func(np.maximum(d, 1e-300)), dtype=float) ** self.p
-        if callable(self.amplitude):
-            amp = np.asarray(self.amplitude(self.mesh.nodes), dtype=float)
-        else:
-            amp = float(self.amplitude)
-        w = amp * kp
-        if np.any(w < 0.0):
-            raise DomainError("weight must be nonnegative")
-        return w
+        return self.weight.values(self.mesh.boundary_distance(), self.p)
 
     def source_values(self) -> np.ndarray | None:
         if self.source is None:
@@ -140,14 +134,8 @@ def solve_elliptic_blowup(
     ceiling and ``cap_rungs`` (1).
     """
     mesh = prob.mesh
-    d = mesh.boundary_distance()
-    interior = mesh.interior_idx
-    if callable(prob.amplitude):
-        amp = np.asarray(prob.amplitude(mesh.nodes), dtype=float)[interior]
-    else:
-        amp = np.full(interior.size, float(prob.amplitude))
-    ceiling = cap_ceiling(prob.nl, prob.p, prob.kernel, amp,
-                          d[interior], d[interior], margin=margin)
+    d = mesh.boundary_distance()[mesh.interior_idx]
+    ceiling = cap_ceiling(prob.nl, prob.p, prob.kernel, prob.weight.amplitude, d, d, margin=margin)
     cap = cap_ladder(ceiling, cap_base, cap_factor, max_rungs)
     values = solve_elliptic_capped(prob, cap).values
     meta = {"cap_rungs": 1, "final_cap": cap, "cap_ceiling": ceiling}

@@ -120,7 +120,8 @@ _GRAMMAR = {
         "p": ("p", float, lambda v: v > 1, "p must exceed 1"),
         "absorption": ("absorption", str, None, None),
         "kernel": ("kernel", str, None, None),
-        "amplitude": ("amplitude", float, lambda v: v > 0, "amplitude must be positive"),
+        "amplitude": ("amplitude", float, lambda v: 0 < v < np.inf,
+                      "amplitude must be positive and finite"),
         "t_star": ("t_star", float, lambda v: v > 0, "t_star must be positive"),
     },
     "solver": {

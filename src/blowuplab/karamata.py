@@ -293,10 +293,10 @@ def profile_decay_ratio(
     s = np.asarray(s_values, dtype=float)
     if np.any(np.diff(s) >= 0.0):
         raise DomainError("s_values must decrease toward 0")
-    prof = _profile(nl, p)
-    K = kernel_primitive(kernel, s)
+    # one call inverts the whole ladder against one set of tail-time values
+    phi = _profile(nl, p).value(kernel_primitive(kernel, s))
     ratios = np.array(
-        [prof.value(Kv) ** (-exponent) / float(kernel.func(sv)) ** p for Kv, sv in zip(K, s)]
+        [float(v) ** (-exponent) / float(kernel.func(sv)) ** p for v, sv in zip(phi, s)]
     )
     return DecayEvidence(
         s_values=s,
@@ -310,7 +310,7 @@ def cap_ceiling(
     nl: Nonlinearity,
     p: float,
     kernel: WeightKernel,
-    amplitude,
+    amplitude: float,
     d_domain,
     d_mesh,
     dt_first: float | None = None,
@@ -326,20 +326,21 @@ def cap_ceiling(
     the boundary profile phi and, for evolution problems, the space-free
     curve at the first time step), and stop there.
 
-    ``d_domain`` is the distance to the true boundary (driving the weight),
-    ``d_mesh`` the distance to the capped mesh boundary (driving the local
-    layer); they differ on shrunken subdomains.
+    ``amplitude`` is the weight's amplitude, ``d_domain`` the distance to the
+    true boundary (driving the weight), ``d_mesh`` the distance to the capped
+    mesh boundary (driving the local layer); they differ on shrunken subdomains.
     """
     d_domain = np.atleast_1d(np.asarray(d_domain, dtype=float))
     d_mesh = np.atleast_1d(np.asarray(d_mesh, dtype=float))
-    amp = np.broadcast_to(np.atleast_1d(np.asarray(amplitude, dtype=float)), d_domain.shape)
+    k = np.asarray(kernel.func(d_domain), dtype=float)
     K = kernel_primitive(kernel, d_domain)
-    local = amp ** (1.0 / p) * np.asarray(kernel.func(d_domain), dtype=float) * d_mesh
+    # numpy's power, not Python's: the two differ in the last bit for some amplitudes
+    local = np.asarray(amplitude, dtype=float) ** (1.0 / p) * k * d_mesh
     arg = np.minimum(K, np.maximum(local, 1e-300))
     # phi is decreasing, so its largest nodal value is phi at the smallest argument
     top = float(_profile(nl, p).value(arg.min()))
     if dt_first is not None:
-        b_min = float(np.min(amp * np.asarray(kernel.func(d_domain), dtype=float) ** p))
+        b_min = float(np.min(amplitude * k ** p))
         if b_min > 0.0:
             top += BlowdownCurve(nl).value(b_min * dt_first)
     return margin * top
@@ -347,34 +348,27 @@ def cap_ceiling(
 
 @dataclass(frozen=True)
 class AbsorptionWeight:
-    """Space-time weight b(x, t) = beta(x, t) * k(d(x))**p.
+    """The weight b = amplitude * k(d)**p of the absorption, d the boundary distance.
 
-    ``beta`` is the amplitude relative to the kernel power; ``constant_weight``
-    builds the constant one that every configuration uses.
+    The amplitude is beta of the rate formulas: one positive, finite number,
+    so b is independent of time and both problems compute it once.
     """
 
     kernel: WeightKernel
-    beta: Callable[[np.ndarray, float], np.ndarray]
+    amplitude: float
 
-    def amplitude(self, x, t: float):
-        return np.asarray(self.beta(np.asarray(x, dtype=float), t), dtype=float)
+    def __post_init__(self):
+        a = float(self.amplitude)
+        if not 0.0 < a < np.inf:
+            raise ConfigError(f"weight amplitude must be positive and finite, got {a:g}")
+        object.__setattr__(self, "amplitude", a)
 
-    def kernel_power(self, d, p: float):
-        """The time-free factor k(d)**p at boundary distances d."""
-        d = np.asarray(d, dtype=float)
-        return np.asarray(self.kernel.func(np.maximum(d, 1e-300)), dtype=float) ** p
-
-    def values(self, x, d, t: float, p: float):
-        """b at coordinates x with boundary distances d, time t."""
-        return self.amplitude(x, t) * self.kernel_power(d, p)
+    def values(self, d, p: float):
+        """b at boundary distances d (a distance 0 counts as 1e-300)."""
+        k = self.kernel.func(np.maximum(np.asarray(d, dtype=float), 1e-300))
+        return self.amplitude * np.asarray(k, dtype=float) ** p
 
 
 def constant_weight(kernel: WeightKernel, amplitude: float = 1.0) -> AbsorptionWeight:
-    a = float(amplitude)
-    if a <= 0.0:
-        raise ConfigError(f"weight amplitude must be positive, got {a:g}")
-    return AbsorptionWeight(
-        kernel=kernel,
-        beta=lambda x, t: np.full_like(np.asarray(x, dtype=float), a),
-    )
-
+    """The weight amplitude * k(d)**p."""
+    return AbsorptionWeight(kernel=kernel, amplitude=amplitude)

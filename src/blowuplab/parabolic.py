@@ -70,17 +70,10 @@ class ParabolicProblem:
         if self.horizon <= 0.0:
             raise DomainError(f"horizon must be positive, got {self.horizon:g}")
 
-    def weight_on(self, nodes: np.ndarray, t: float) -> np.ndarray:
-        return self.weight.amplitude(nodes, t) * self.kernel_power_on(nodes)
-
-    def kernel_power_on(self, nodes: np.ndarray) -> np.ndarray:
-        """k(d)**p at the nodes, d the distance to the boundary of the problem's domain.
-
-        The weight at time t is ``weight.amplitude(nodes, t)`` times this
-        factor, so a march computes it once and reuses it at every step.
-        """
-        d = distance_to_boundary(self.mesh.domain, nodes)
-        return self.weight.kernel_power(d, self.p)
+    def weight_on(self, nodes: np.ndarray) -> np.ndarray:
+        """The weight b at the nodes, from their distance to the boundary of the
+        problem's domain; b does not depend on time, so a march computes it once."""
+        return self.weight.values(distance_to_boundary(self.mesh.domain, nodes), self.p)
 
     def source_on(self, nodes: np.ndarray, t: float):
         if self.source is None:
@@ -118,8 +111,7 @@ def step_implicit(prob: ParabolicProblem, state: np.ndarray, dt: float, t_new: f
                   cap: float | None = None) -> np.ndarray:
     """One backward-Euler step on the problem's own mesh (convenience wrapper)."""
     disc = _discretization(prob, prob.mesh)
-    kp = prob.kernel_power_on(prob.mesh.nodes)
-    return _step(prob, prob.mesh, disc, kp, state, dt, t_new, cap)
+    return _step(prob, prob.mesh, disc, prob.weight_on(prob.mesh.nodes), state, dt, t_new, cap)
 
 
 def _discretization(prob: ParabolicProblem, mesh: Mesh) -> Discretization:
@@ -140,11 +132,10 @@ def _dirichlet_values(prob: ParabolicProblem, mesh: Mesh, t: float, cap: float |
     return float(cap)
 
 
-def _step(prob, mesh, disc, kp, state, dt, t_new, cap, depth: int = 0) -> np.ndarray:
+def _step(prob, mesh, disc, weight, state, dt, t_new, cap, depth: int = 0) -> np.ndarray:
     """Backward-Euler step with rejection: on Newton failure the step is halved
-    (bounded recursion) so the caller's time grid is preserved.  ``kp`` is the
-    kernel factor ``prob.kernel_power_on(mesh.nodes)`` of the weight."""
-    weight = prob.weight.amplitude(mesh.nodes, t_new) * kp
+    (bounded recursion) so the caller's time grid is preserved.  ``weight`` is
+    ``prob.weight_on(mesh.nodes)``."""
     src = prob.source_on(mesh.nodes, t_new)
     dval = _dirichlet_values(prob, mesh, t_new, cap)
     try:
@@ -156,14 +147,14 @@ def _step(prob, mesh, disc, kp, state, dt, t_new, cap, depth: int = 0) -> np.nda
         if depth >= MAX_STEP_HALVINGS:
             raise
         t_mid = t_new - 0.5 * dt
-        half = _step(prob, mesh, disc, kp, state, 0.5 * dt, t_mid, cap, depth=depth + 1)
-        return _step(prob, mesh, disc, kp, half, 0.5 * dt, t_new, cap, depth=depth + 1)
+        half = _step(prob, mesh, disc, weight, state, 0.5 * dt, t_mid, cap, depth=depth + 1)
+        return _step(prob, mesh, disc, weight, half, 0.5 * dt, t_new, cap, depth=depth + 1)
 
 
 def _march(prob: ParabolicProblem, mesh: Mesh, times: np.ndarray, cap: float | None) -> np.ndarray:
     """Full backward-Euler trajectory with data ``cap`` on the parabolic boundary."""
     disc = _discretization(prob, mesh)
-    kp = prob.kernel_power_on(mesh.nodes)
+    weight = prob.weight_on(mesh.nodes)
     n = mesh.nodes.size
     out = np.empty((times.size, n))
     if prob.initial is not None:
@@ -174,7 +165,7 @@ def _march(prob: ParabolicProblem, mesh: Mesh, times: np.ndarray, cap: float | N
         out[0] = cap
     for j in range(1, times.size):
         dt = times[j] - times[j - 1]
-        out[j] = _step(prob, mesh, disc, kp, out[j - 1], dt, times[j], cap)
+        out[j] = _step(prob, mesh, disc, weight, out[j - 1], dt, times[j], cap)
     return out
 
 
@@ -197,8 +188,7 @@ def _cap_ladder(prob, mesh, times, cap_base, cap_factor, max_rungs, margin):
     interior = mesh.interior_idx
     d_mesh = mesh.boundary_distance()[interior]
     d_dom = distance_to_boundary(prob.mesh.domain, mesh.nodes)[interior]
-    amp = np.asarray(prob.weight.amplitude(mesh.nodes[interior], float(times[1])), dtype=float)
-    ceiling = cap_ceiling(prob.nl, prob.p, prob.weight.kernel, amp, d_dom, d_mesh,
+    ceiling = cap_ceiling(prob.nl, prob.p, prob.weight.kernel, prob.weight.amplitude, d_dom, d_mesh,
                           dt_first=float(times[1] - times[0]), margin=margin)
     cap = cap_ladder(ceiling, cap_base, cap_factor, max_rungs)
     return _march(prob, mesh, times, cap), {"cap_rungs": 1, "final_cap": cap,
@@ -320,13 +310,13 @@ def parabolic_comparison_check(upper: SpaceTimeField, lower: SpaceTimeField,
     if not np.array_equal(upper.mesh.nodes, lower.mesh.nodes):
         raise DomainError("comparison requires a shared mesh")
     disc = _discretization(prob, upper.mesh)
+    w = prob.weight_on(upper.mesh.nodes)
 
     def worst_scaled_residual(fld: SpaceTimeField) -> np.ndarray:
         worst = np.zeros(fld.mesh.nodes.size)
         worst_neg = np.zeros(fld.mesh.nodes.size)
         for j in range(1, fld.times.size):
             dt = fld.times[j] - fld.times[j - 1]
-            w = prob.weight_on(fld.mesh.nodes, fld.times[j])
             src = prob.source_on(fld.mesh.nodes, fld.times[j])
             R, scale = disc.residual(fld.values[j], weight=w, f=prob.nl.func, source=src,
                                      mass_coef=1.0 / dt, u_prev=fld.values[j - 1])
@@ -398,6 +388,7 @@ def weak_form_residual(field: SpaceTimeField, prob: ParabolicProblem, test: Comp
     V = disc.volumes
     total = float(np.sum(V * u[-1] * P[-1]))
     eps = disc.eps_reg if prob.p != 2.0 else 0.0
+    w = prob.weight_on(mesh.nodes)
     for j in range(1, times.size):
         dt = times[j] - times[j - 1]
         du = np.diff(u[j]) / disc.h_face
@@ -407,7 +398,6 @@ def weak_form_residual(field: SpaceTimeField, prob: ParabolicProblem, test: Comp
         else:
             q = (du * du + eps * eps) ** ((prob.p - 2.0) / 2.0) * du
         flux_term = float(np.sum(disc.m_face * disc.h_face * q * dphi))
-        w = prob.weight_on(mesh.nodes, times[j])
         absorb = w * np.asarray(prob.nl.func(u[j]), dtype=float)
         src = prob.source_on(mesh.nodes, times[j])
         if src is not None:

@@ -127,10 +127,12 @@ def boundary_rate(
 
     ``fld`` is a space-time trajectory (then ``t0`` selects the slice) or a
     steady grid function.  The prediction is ((r+ell-1)/(r*beta))**((r-1)/p)
-    with beta the weight amplitude at the chosen boundary point.
+    with beta the amplitude of the problem's weight.
     """
     mesh, values, t_used = _slice_field(fld, t0)
-    nl, p, kernel, beta = _problem_data(prob, side, t_used)
+    if not isinstance(prob, (ParabolicProblem, EllipticProblem)):
+        raise DomainError(f"unsupported problem type {type(prob).__name__}")
+    nl, p, kernel, beta = prob.nl, prob.p, prob.weight.kernel, prob.weight.amplitude
     dom = mesh.domain
     d_all = mesh.boundary_distance()
     h_all = _local_spacing(mesh.nodes)
@@ -199,24 +201,9 @@ def _slice_field(fld, t0):
     raise DomainError(f"unsupported field type {type(fld).__name__}")
 
 
-def _problem_data(prob, side, t_used):
-    if isinstance(prob, ParabolicProblem):
-        dom = prob.mesh.domain
-        y = (dom.b if side == "right" else dom.a) if dom.kind == "interval" else dom.radius
-        t_eval = 0.0 if t_used is None else t_used
-        beta = float(np.asarray(prob.weight.amplitude(np.array([y]), t_eval))[0])
-        return prob.nl, prob.p, prob.weight.kernel, beta
-    if isinstance(prob, EllipticProblem):
-        dom = prob.mesh.domain
-        y = (dom.b if side == "right" else dom.a) if dom.kind == "interval" else dom.radius
-        amp = prob.amplitude(np.array([y]))[0] if callable(prob.amplitude) else prob.amplitude
-        return prob.nl, prob.p, prob.kernel, float(amp)
-    raise DomainError(f"unsupported problem type {type(prob).__name__}")
-
-
 def frozen_coefficient(fld: SpaceTimeField, prob: ParabolicProblem,
                        x0: float | None = None) -> tuple[int, float]:
-    """The node i0 nearest x0 and the weight b there at t = 0, as (i0, b0).
+    """The node i0 nearest x0 and the weight b there, as (i0, b0).
 
     x0 defaults to the interval midpoint or the ball centre.
     """
@@ -225,8 +212,7 @@ def frozen_coefficient(fld: SpaceTimeField, prob: ParabolicProblem,
     if x0 is None:
         x0 = 0.5 * (dom.a + dom.b) if dom.kind == "interval" else 0.0
     i0 = fld.node_index(x0)
-    d = mesh.boundary_distance()
-    return i0, float(prob.weight.values(mesh.nodes[i0:i0 + 1], d[i0:i0 + 1], 0.0, prob.p)[0])
+    return i0, float(prob.weight.values(mesh.boundary_distance()[i0], prob.p))
 
 
 def initial_rate(

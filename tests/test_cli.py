@@ -90,6 +90,16 @@ def test_all_violations_collected(tmp_path):
     assert any("widget" in s for s in v)
 
 
+@pytest.mark.parametrize("amplitude", ["inf", "nan", "0"])
+def test_amplitude_must_be_positive_and_finite(tmp_path, amplitude):
+    p = tmp_path / "amplitude.cfg"
+    p.write_text(MINIMAL.replace("amplitude = 1.0", f"amplitude = {amplitude}"))
+    with pytest.raises(ConfigError) as err:
+        load_config(p)
+    assert err.value.violations == [
+        f"[problem] amplitude = '{amplitude}': amplitude must be positive and finite"]
+
+
 def test_cap_rtol_is_an_unknown_key(tmp_path):
     # the collar ladder has no stop rule, so no tolerance sets one
     p = tmp_path / "rtol.cfg"

@@ -8,7 +8,7 @@ from blowuplab.elliptic import (
     solve_elliptic_blowup,
     solve_elliptic_capped,
 )
-from blowuplab.errors import DomainError
+from blowuplab.errors import ConfigError, DomainError
 from blowuplab.geometry import ball, build_graded_mesh, interval
 from blowuplab.karamata import power_kernel
 from blowuplab.nonlinearity import power
@@ -178,6 +178,21 @@ def test_blowup_with_linear_kernel_runs():
     z = solve_elliptic_blowup(prob)
     assert z.blowup
     assert np.all(z.values[mesh.interior_idx] > 0.0)
+
+
+@pytest.mark.parametrize("amplitude", [-1.0, 0.0, float("nan"), float("inf")])
+def test_problem_rejects_an_amplitude_that_is_not_positive_and_finite(amplitude):
+    mesh = build_graded_mesh(interval(0.0, 1.0), 16, 2.0)
+    with pytest.raises(ConfigError, match=f"must be positive and finite, got {amplitude:g}"):
+        quadratic_problem(mesh, amplitude=amplitude)
+
+
+def test_problem_weight_is_the_amplitude_times_the_kernel_power():
+    mesh = build_graded_mesh(interval(0.0, 1.0), 16, 2.0)
+    prob = EllipticProblem(mesh=mesh, p=2.0, nl=power(2), kernel=power_kernel(1.0), amplitude=4)
+    assert prob.weight.kernel is prob.kernel and prob.weight.amplitude == 4.0
+    d = mesh.boundary_distance()
+    np.testing.assert_array_equal(prob.weight_values(), 4.0 * np.maximum(d, 1e-300) ** 2)
 
 
 def test_capped_rejects_bad_cap():

@@ -302,17 +302,50 @@ def test_decay_ratio_window_enforced():
         profile_decay_ratio(const_kernel(), power(2), 2.0, 1.5, np.array([0.1, 0.01]))
 
 
-def test_weight_values_with_space_dependent_amplitude():
-    w = AbsorptionWeight(kernel=const_kernel(), beta=lambda x, t: 1.0 + 0.1 * np.sin(x))
-    assert w.values(np.array([0.5]), np.array([0.5]), 0.0, 2.0)[0] == pytest.approx(1.0 + 0.1 * math.sin(0.5))
+def test_decay_ratio_shares_one_inversion_bit_for_bit(monkeypatch):
+    """One phi call over the ladder: the tabled profile is inverted against one
+    set of tail-time values, and each ratio keeps the bits of its point alone."""
+    s = np.geomspace(1e-1, 1e-4, 12)
+    calls = []
+    tail_time = BlowupProfile.tail_time
+    monkeypatch.setattr(BlowupProfile, "tail_time",
+                        lambda self, y: calls.append(y) or tail_time(self, y))
+    for nl, p, kern, exponent in [(power_log(2), 2.0, power_kernel(1.0), 0.8),
+                                  (power_log(2), 2.0, const_kernel(), 0.5),
+                                  (power_log(3), 3.0, power_kernel(0.5), 1.0)]:
+        prof = karamata._profile(nl, p)
+        K = kernel_primitive(kern, s)
+        del calls[:]
+        ref = np.array([prof.value(Kv) ** (-exponent) / float(kern.func(sv)) ** p
+                        for Kv, sv in zip(K, s)])
+        per_point = len(calls)
+        del calls[:]
+        ev = profile_decay_ratio(kern, nl, p, exponent, s)
+        np.testing.assert_array_equal(ev.ratios, ref)
+        assert len(calls) < per_point
+    # a pure power's phi is a closed form, whose numpy power on an array and
+    # libm power on one point can differ in the last bit
+    kern = power_kernel(0.5)
+    ref = [profile_value(power(3), 1.5, Kv) ** -1.0 / float(kern.func(sv)) ** 1.5
+           for Kv, sv in zip(kernel_primitive(kern, s), s)]
+    ev = profile_decay_ratio(kern, power(3), 1.5, 1.0, s)
+    np.testing.assert_array_max_ulp(ev.ratios, np.array(ref), maxulp=2)
 
 
 def test_constant_weight():
     w = constant_weight(power_kernel(1.0), 4.0)
+    assert w == AbsorptionWeight(kernel=w.kernel, amplitude=4.0)
     # b = 4 * d^2 at p = 2
-    np.testing.assert_allclose(w.values(np.array([0.3]), np.array([0.25]), 0.0, 2.0), [0.25])
-    with pytest.raises(ConfigError):
-        constant_weight(const_kernel(), -1.0)
+    np.testing.assert_allclose(w.values(np.array([0.25, 0.5]), 2.0), [0.25, 1.0])
+    assert w.values(0.25, 2.0) == 0.25
+    # a distance 0 counts as 1e-300, so a singular kernel stays finite there
+    assert constant_weight(power_kernel(-0.5), 1.0).values(0.0, 2.0) == pytest.approx(1e300)
+
+
+@pytest.mark.parametrize("amplitude", [-1.0, 0.0, float("nan"), float("inf")])
+def test_weight_amplitude_must_be_positive_and_finite(amplitude):
+    with pytest.raises(ConfigError, match=f"positive and finite, got {amplitude:g}"):
+        constant_weight(const_kernel(), amplitude)
 
 
 def test_cap_ceiling_scales_with_margin():

@@ -321,7 +321,7 @@ def _reference_trajectory_csv(path, prob, fld):
     prof = np.full(mesh.nodes.size, np.nan)
     prof[inner] = profile_of_distance(prob.nl, prob.p, prob.weight.kernel, d[inner])
     i0 = int(np.argmin(np.abs(mesh.nodes - 0.5 * (mesh.domain.a + mesh.domain.b))))
-    b0 = float(prob.weight.values(mesh.nodes[i0:i0 + 1], d[i0:i0 + 1], 0.0, prob.p)[0])
+    b0 = float(prob.weight.values(d[i0], prob.p))
     rows = np.nonzero(fld.times > 0.0)[0]
     t = fld.times[rows]
     xi, xis = space_free_values(prob, t)
@@ -362,7 +362,7 @@ def _template_trajectory_csv(path, prob, fld):
     prof[inner] = profile_of_distance(prob.nl, prob.p, prob.weight.kernel, d[inner])
     x0 = 0.5 * (mesh.domain.a + mesh.domain.b) if mesh.domain.kind == "interval" else 0.0
     i0 = int(np.argmin(np.abs(mesh.nodes - x0)))
-    b0 = float(prob.weight.values(mesh.nodes[i0:i0 + 1], d[i0:i0 + 1], 0.0, prob.p)[0])
+    b0 = float(prob.weight.values(d[i0], prob.p))
     rows = np.nonzero(fld.times > 0.0)[0]
     t = fld.times[rows]
     xi, xis = space_free_values(prob, t)
